@@ -143,8 +143,10 @@ type Config struct {
 type Analyzer struct {
 	cfg Config
 	// applyFailures counts recommendations that could not be executed
-	// (by Apply or by an Applier), surfaced through ws_statistics.
-	applyFailures atomic.Int64
+	// (by Apply or by an Applier). It is the source monitor's collector
+	// counter, so ima_statistics and ws_statistics expose it; an
+	// unmonitored source gets a counter of its own.
+	applyFailures *atomic.Int64
 }
 
 // ApplyFailures returns the cumulative count of recommendations whose
@@ -186,7 +188,11 @@ func New(cfg Config) (*Analyzer, error) {
 	if cfg.MinWriteConflicts <= 0 {
 		cfg.MinWriteConflicts = 5
 	}
-	return &Analyzer{cfg: cfg}, nil
+	a := &Analyzer{cfg: cfg, applyFailures: new(atomic.Int64)}
+	if mon := cfg.Source.Monitor(); mon != nil {
+		a.applyFailures = &mon.Collector().ApplyFailures
+	}
+	return a, nil
 }
 
 // combined folds CPU and IO into the cost unit used throughout: one

@@ -147,17 +147,15 @@ func Open(opts Options) (*System, error) {
 		return nil, err
 	}
 	d, err := daemon.New(daemon.Config{
-		Source:        db,
-		Mon:           sys.Monitor,
-		Target:        wdb,
-		Interval:      opts.DaemonInterval,
-		Retention:     opts.Retention,
-		Alerts:        opts.Alerts,
-		FlushOnFull:   opts.FlushOnFull,
-		Actions:       ap.ActionRows,
-		ApplyFailures: an.ApplyFailures,
-		Flagger:       sys.Flagger,
-		Logf:          opts.Logf,
+		Source:      db,
+		Mon:         sys.Monitor,
+		Target:      wdb,
+		Interval:    opts.DaemonInterval,
+		Retention:   opts.Retention,
+		Alerts:      opts.Alerts,
+		FlushOnFull: opts.FlushOnFull,
+		Flagger:     sys.Flagger,
+		Logf:        opts.Logf,
 	})
 	if err != nil {
 		db.Close()
@@ -174,7 +172,7 @@ func Open(opts Options) (*System, error) {
 	reg.Register("monitor", telemetry.MonitorSource(sys.Monitor))
 	reg.Register("engine", telemetry.EngineSource(db))
 	reg.Register("daemon", telemetry.DaemonSource(d))
-	reg.Register("tuning", telemetry.TuningSource(an, ap, db))
+	reg.Register("tuning", telemetry.TuningSource(ap, db))
 	sys.Telemetry = reg
 	if err := ima.RegisterHealth(db, func() []ima.HealthMetric {
 		var hm []ima.HealthMetric

@@ -2,18 +2,16 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/workloaddb"
 )
 
-// TestMvccTelemetryParity is the outermost-layer parity check for the
-// MVCC counters: after a workload that exercises begins, commits,
-// aborts, write conflicts and a vacuum pass, the engine_mvcc_* metrics
-// on the telemetry plane must equal the columns of the latest ws_mvcc
-// row the daemon persisted — same sensors, two exposure paths.
+// TestMvccTelemetryParity runs the registry parity check after a
+// workload that exercises begins, commits, aborts, write conflicts and
+// a vacuum pass, so the MVCC counters it compares across ima_mvcc,
+// ws_mvcc and /metrics are not all zero.
 func TestMvccTelemetryParity(t *testing.T) {
 	sys, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -71,58 +69,16 @@ func TestMvccTelemetryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := sys.WorkloadDB.NewSession()
-	defer ws.Close()
-	res, err := ws.Exec(fmt.Sprintf(`SELECT ts_us, txn_begins, txn_commits, txn_aborts,
-		write_conflicts, inflight_txns, active_snapshots, aborted_ids,
-		oldest_snapshot_ns, vacuum_runs, vacuum_reclaimed, vacuum_cleared,
-		retired_ids, chain_len_p95 FROM %s ORDER BY ts_us`, workloaddb.Mvcc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no ws_mvcc row persisted by the poll")
-	}
-	row := res.Rows[len(res.Rows)-1]
+	checkCounterParity(t, sys)
 
-	metrics := map[string]float64{}
-	for _, m := range sys.Telemetry.Gather() {
-		if len(m.Labels) == 0 {
-			metrics[m.Name] = m.Value
-		}
-	}
-	for i, name := range []string{
-		"engine_mvcc_txn_begins_total",
-		"engine_mvcc_txn_commits_total",
-		"engine_mvcc_txn_aborts_total",
-		"engine_mvcc_write_conflicts_total",
-		"engine_mvcc_inflight_txns",
-		"engine_mvcc_active_snapshots",
-		"engine_mvcc_aborted_ids",
-		"engine_mvcc_oldest_snapshot_ns",
-		"engine_mvcc_vacuum_runs_total",
-		"engine_mvcc_vacuum_reclaimed_total",
-		"engine_mvcc_vacuum_cleared_total",
-		"engine_mvcc_retired_ids_total",
-		"engine_mvcc_chain_len_p95",
-	} {
-		got, ok := metrics[name]
-		if !ok {
-			t.Errorf("metric %s not exported", name)
-			continue
-		}
-		if want := row[i+1].I; int64(got) != want {
-			t.Errorf("%s = %d, ws_mvcc column = %d", name, int64(got), want)
-		}
-	}
-
-	// Spot-check the workload actually moved the interesting counters,
-	// so the parity above is not a vacuous all-zeroes match.
-	if row[1].I == 0 || row[2].I == 0 || row[3].I == 0 || row[4].I == 0 {
+	// The workload actually moved the interesting counters, so the
+	// parity above is not a vacuous all-zeroes match.
+	row := latestWsRow(t, sys, workloaddb.Mvcc)
+	if row["txn_begins"] == 0 || row["txn_commits"] == 0 || row["txn_aborts"] == 0 || row["write_conflicts"] == 0 {
 		t.Errorf("workload left begins/commits/aborts/conflicts at %d/%d/%d/%d, parity check vacuous",
-			row[1].I, row[2].I, row[3].I, row[4].I)
+			row["txn_begins"], row["txn_commits"], row["txn_aborts"], row["write_conflicts"])
 	}
-	if row[9].I == 0 {
+	if row["vacuum_runs"] == 0 {
 		t.Error("poll did not run vacuum (vacuum_runs = 0)")
 	}
 }

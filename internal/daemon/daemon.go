@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,7 +112,9 @@ type Event struct {
 
 // Config wires a daemon.
 type Config struct {
-	// Source is the monitored database (must have IMA registered).
+	// Source is the monitored database (must have IMA registered). The
+	// daemon persists its IMA tables, ima_actions included when it is
+	// registered.
 	Source *engine.DB
 	// Mon is the source's monitor; the daemon drains its workload ring
 	// directly — the in-core collection variant of §IV-B.
@@ -142,14 +143,6 @@ type Config struct {
 	// RefCacheCap bounds the reference dedup set; the oldest keys are
 	// evicted first (default DefaultRefCacheCap).
 	RefCacheCap int
-	// Actions, when set, returns the analyzer applier's audit trail;
-	// rows with Seq beyond the daemon's watermark are persisted into
-	// ws_actions each poll.
-	Actions func() []ima.ActionRow
-	// ApplyFailures, when set, supplies the apply_failures column of
-	// ws_statistics (the analyzer's count of recommendations whose
-	// execution failed).
-	ApplyFailures func() int64
 	// Flagger, when set, runs one adaptive-monitoring evaluation per
 	// poll: statements whose interval tail latency misbehaves are
 	// flagged into phase-2 wait attribution, and stale flags expire.
@@ -175,7 +168,8 @@ type Stats struct {
 	// zero time until the first poll runs.
 	LastPoll time.Time
 
-	// Fault-tolerance counters.
+	// Fault-tolerance counters. All but CarryoverDrops are kept in the
+	// monitor's Collector, so ima_statistics exposes them.
 	PollErrors     int64 // polls that returned a (transient) error
 	Retries        int64 // backoff-scheduled retry polls executed by Run
 	AlertErrors    int64 // alert evaluations that failed (query or operator)
@@ -201,20 +195,17 @@ type Daemon struct {
 	mu        sync.Mutex
 	refs      refDedup // reference rows already persisted, bounded FIFO
 	lastPrune time.Time
-	prevPoll  time.Time // statements unchanged since then are skipped
+	landed    map[string]int64 // ws table → ts_us of its last successful append
 	carryover []monitor.WorkloadEntry
 
-	polls       atomic.Int64
-	appended    atomic.Int64
-	pruned      atomic.Int64
-	fired       atomic.Int64
-	lastPoll    atomic.Int64 // unix micro; 0 = never polled
-	pollErrors  atomic.Int64
-	retries     atomic.Int64
-	alertErrors atomic.Int64
-	carryDepth  atomic.Int64
-	carryDrops  atomic.Int64
-	actionSeq   atomic.Int64 // highest ws_actions Seq persisted
+	health     *monitor.Collector
+	polls      atomic.Int64
+	appended   atomic.Int64
+	pruned     atomic.Int64
+	fired      atomic.Int64
+	lastPoll   atomic.Int64 // unix micro; 0 = never polled
+	carryDrops atomic.Int64
+	actionSeq  atomic.Int64 // highest ws_actions seq persisted
 
 	fullSignal chan struct{}
 }
@@ -259,6 +250,8 @@ func New(cfg Config) (*Daemon, error) {
 		logf:     cfg.Logf,
 		carryCap: cfg.CarryoverCap,
 		refs:     newRefDedup(cfg.RefCacheCap),
+		landed:   map[string]int64{},
+		health:   cfg.Mon.Collector(),
 	}
 	d.newTarget = func() execTarget { return cfg.Target.NewSession() }
 	if cfg.FlushOnFull {
@@ -296,7 +289,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 	attempt := func(isRetry bool) error {
 		if isRetry {
-			d.retries.Add(1)
+			d.health.Retries.Add(1)
 		}
 		err := d.Poll()
 		if err == nil {
@@ -360,16 +353,16 @@ func (d *Daemon) Stats() Stats {
 		RowsPruned:     d.pruned.Load(),
 		AlertsFired:    d.fired.Load(),
 		LastPoll:       last,
-		PollErrors:     d.pollErrors.Load(),
-		Retries:        d.retries.Load(),
-		AlertErrors:    d.alertErrors.Load(),
-		CarryoverDepth: d.carryDepth.Load(),
+		PollErrors:     d.health.PollErrors.Load(),
+		Retries:        d.health.Retries.Load(),
+		AlertErrors:    d.health.AlertErrors.Load(),
+		CarryoverDepth: d.health.CarryoverDepth.Load(),
 		CarryoverDrops: d.carryDrops.Load(),
 	}
 }
 
 // Poll performs one collection cycle: flush carried-over and freshly
-// drained workload entries, snapshot the remaining IMA tables, append
+// drained workload entries, copy the remaining IMA tables, append
 // everything to the workload DB with the poll timestamp, prune expired
 // rows once per retention hour, then evaluate alerts.
 //
@@ -394,56 +387,17 @@ func (d *Daemon) Poll() error {
 		errs = append(errs, err)
 	}
 
-	// 2. Snapshot-style tables via the monitor's statement-side
-	// snapshot (one consistent cut of statements, references and
-	// frequencies; the workload was already drained above) and the
-	// catalog. Statement rows are appended only when they changed since
-	// the previous poll ("the newest data").
-	snap := d.cfg.Mon.SnapshotStatementSide()
-	d.mu.Lock()
-	since := d.prevPoll
-	d.mu.Unlock()
-	if err := d.appendStatements(target, ts, snap, since); err != nil {
-		errs = append(errs, err)
-	} else {
-		// Advance the changed-since watermark only when the rows
-		// landed, so statements touched during an outage are retried.
-		d.mu.Lock()
-		if now.After(d.prevPoll) {
-			d.prevPoll = now
-		}
-		d.mu.Unlock()
-	}
-	if err := d.appendReferences(target, ts, snap); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendObjectTables(target, ts, snap); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendStatistics(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendLatency(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendActions(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-
-	// 2b. Adaptive monitoring: evaluate the flagging policy, then
-	// persist the phase-2 wait breakdowns of the current flag set.
+	// 2. Adaptive monitoring: evaluate the flagging policy, so ima_waits
+	// holds the breakdowns of the current flag set.
 	if d.cfg.Flagger != nil {
 		if flagged, expired := d.cfg.Flagger.Evaluate(now); flagged > 0 || expired > 0 {
 			d.logf("daemon: flagger: %d flagged, %d expired", flagged, expired)
 		}
 	}
-	if err := d.appendWaits(target, ts); err != nil {
-		errs = append(errs, err)
-	}
 
-	// 2c. MVCC garbage collection rides the poll — "disk accesses on
-	// the daemon's schedule" extends naturally to version reclamation —
-	// then the snapshot-isolation health counters are persisted.
+	// 3. MVCC garbage collection rides the poll — "disk accesses on the
+	// daemon's schedule" extends naturally to version reclamation — so
+	// ima_mvcc reports the pass that just ran.
 	if !d.cfg.DisableVacuum {
 		if vs, err := d.cfg.Source.Vacuum(); err != nil {
 			errs = append(errs, fmt.Errorf("daemon: vacuum: %w", err))
@@ -452,11 +406,22 @@ func (d *Daemon) Poll() error {
 				vs.Reclaimed, vs.Cleared, vs.Retired)
 		}
 	}
-	if err := d.appendMvcc(target, ts); err != nil {
+
+	// 4. The IMA tables: the snapshot-style ones through one loop, then
+	// the two with an append watermark of their own.
+	for _, c := range copies {
+		if err := d.copyTable(target, ts, c.table, c.col, c.keep); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	if err := d.appendReferences(target, ts); err != nil {
+		errs = append(errs, err)
+	}
+	if err := d.appendActions(target, ts); err != nil {
 		errs = append(errs, err)
 	}
 
-	// 3. Retention pruning, at most once per hour of wall time; a
+	// 5. Retention pruning, at most once per hour of wall time; a
 	// failed prune is retried next poll (lastPrune advances on success).
 	d.mu.Lock()
 	doPrune := now.Sub(d.lastPrune) >= time.Hour || d.lastPrune.IsZero()
@@ -472,11 +437,11 @@ func (d *Daemon) Poll() error {
 		}
 	}
 
-	// 4. Alerts — isolated; failures are counted, never propagated.
+	// 6. Alerts — isolated; failures are counted, never propagated.
 	d.evaluateAlerts(now)
 
 	if len(errs) > 0 {
-		d.pollErrors.Add(1)
+		d.health.PollErrors.Add(1)
 		return errors.Join(errs...)
 	}
 	return nil
@@ -503,12 +468,12 @@ func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 	}
 	rows := make([]sqltypes.Row, len(pending))
 	for i, w := range pending {
-		rows[i] = tsRow(ts, ima.WorkloadRow(w))
+		rows[i] = append(sqltypes.Row{sqltypes.NewInt(ts)}, ima.WorkloadRow(w)...)
 	}
 	n, err := d.insertBatch(x, workloaddb.Workload, rows)
 	if err == nil {
 		d.mu.Lock()
-		d.carryDepth.Store(int64(len(d.carryover)))
+		d.health.CarryoverDepth.Store(int64(len(d.carryover)))
 		d.mu.Unlock()
 		return nil
 	}
@@ -523,7 +488,7 @@ func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 		d.carryover = append([]monitor.WorkloadEntry(nil), d.carryover[drop:]...)
 	}
 	depth := len(d.carryover)
-	d.carryDepth.Store(int64(depth))
+	d.health.CarryoverDepth.Store(int64(depth))
 	d.mu.Unlock()
 	return fmt.Errorf("daemon: workload append (%d entries requeued): %w", depth, err)
 }
@@ -563,55 +528,114 @@ func (d *Daemon) insertBatch(x execTarget, table string, rows []sqltypes.Row) (i
 	return len(rows), nil
 }
 
-func tsRow(ts int64, rest sqltypes.Row) sqltypes.Row {
-	return append(sqltypes.Row{sqltypes.NewInt(ts)}, rest...)
-}
-
-func (d *Daemon) appendStatements(x execTarget, ts int64, snap monitor.Snapshot, since time.Time) error {
-	rows := make([]sqltypes.Row, 0, len(snap.Statements))
-	for _, st := range snap.Statements {
-		if !since.IsZero() && st.LastSeen.Before(since) {
-			continue
-		}
-		text := sqltypes.TruncateUTF8(st.Text, workloaddb.StatementTextMax)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(st.Hash)),
-			sqltypes.NewText(text),
-			sqltypes.NewText(st.Kind),
-			sqltypes.NewInt(st.Frequency),
-			sqltypes.NewInt(st.FirstSeen.UnixMicro()),
-			sqltypes.NewInt(st.LastSeen.UnixMicro()),
-		}))
+// tsRow builds a ws row: the poll timestamp, then the IMA row's
+// columns at idx.
+func tsRow(ts int64, r sqltypes.Row, idx []int) sqltypes.Row {
+	row := make(sqltypes.Row, 1+len(idx))
+	row[0] = sqltypes.NewInt(ts)
+	for i, j := range idx {
+		row[1+i] = r[j]
 	}
-	_, err := d.insertBatch(x, workloaddb.Statements, rows)
-	return err
+	return row
 }
 
-// appendReferences inserts reference rows not yet persisted. Keys are
-// committed to the dedup set only after their rows actually landed, so
-// an insert failure leaves them eligible for the next poll instead of
-// silently losing them forever.
-func (d *Daemon) appendReferences(x execTarget, ts int64, snap monitor.Snapshot) error {
+// copies are the IMA tables the generic loop persists each poll, in
+// order. Each keeps only the rows whose column col passes keep (no
+// filter when keep is nil); since is the poll timestamp at which the
+// table last landed, 0 before that.
+var copies = []struct {
+	table string
+	col   string
+	keep  func(v, since int64) bool
+}{
+	{workloaddb.Statements, "last_seen_us", changedSince},
+	{workloaddb.Tables, "", nil},
+	{workloaddb.Attributes, "frequency", positive},
+	{workloaddb.Indexes, "frequency", positive},
+	{workloaddb.Statistics, "", nil},
+	{workloaddb.Latency, "hash", global},
+	{workloaddb.Waits, "samples", positive},
+	{workloaddb.Mvcc, "", nil},
+}
+
+func changedSince(v, since int64) bool { return v >= since }
+func positive(v, _ int64) bool         { return v > 0 }
+func global(v, _ int64) bool           { return v == 0 } // hash 0: the global latency scopes
+
+// imaRow is one row of an IMA table, with its columns by name.
+type imaRow struct {
+	schema sqltypes.Schema
+	sqltypes.Row
+}
+
+func (r imaRow) int(col string) int64 { return r.Row[r.schema.ColIndex(col)].I }
+
+// readIMA reads the IMA table behind the ws table through the source's
+// virtual-table provider and returns the rows keep accepts (all when
+// keep is nil) as ws rows: timestamped and projected onto ws's
+// columns. The read runs no SQL, so it never enters the workload being
+// recorded. ok is false when the source has no such IMA table.
+func (d *Daemon) readIMA(ws string, ts int64, keep func(imaRow) bool) (rows []sqltypes.Row, ok bool, err error) {
+	t, _ := workloaddb.Lookup(ws)
+	schema, imaRows, ok := d.cfg.Source.ReadVirtual(t.IMA)
+	if !ok {
+		return nil, false, nil
+	}
+	idx, err := t.Project(schema)
+	if err != nil {
+		return nil, true, err
+	}
+	for _, r := range imaRows {
+		if keep == nil || keep(imaRow{schema, r}) {
+			rows = append(rows, tsRow(ts, r, idx))
+		}
+	}
+	return rows, true, nil
+}
+
+// copyTable appends one timestamped copy of an IMA table to the ws
+// table, keeping the rows whose column col passes keep.
+func (d *Daemon) copyTable(x execTarget, ts int64, ws, col string, keep func(v, since int64) bool) error {
+	d.mu.Lock()
+	since := d.landed[ws]
+	d.mu.Unlock()
+	rows, ok, err := d.readIMA(ws, ts, func(r imaRow) bool { return keep == nil || keep(r.int(col), since) })
+	if !ok {
+		return fmt.Errorf("daemon: %s: the source has no IMA table to copy", ws)
+	}
+	if err != nil {
+		return err
+	}
+	if _, err := d.insertBatch(x, ws, rows); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.landed[ws] = max(d.landed[ws], ts)
+	d.mu.Unlock()
+	return nil
+}
+
+// appendReferences inserts the ima_references rows not yet persisted.
+// Keys are committed to the dedup set only after their rows actually
+// landed, so an insert failure leaves them eligible for the next poll
+// instead of silently losing them forever.
+func (d *Daemon) appendReferences(x execTarget, ts int64) error {
+	refs, _, err := d.readIMA(workloaddb.References, ts, nil)
+	if err != nil {
+		return err
+	}
 	var rows []sqltypes.Row
 	var keys []string
-	batch := map[string]struct{}{} // dedup within this snapshot
+	batch := map[string]struct{}{} // dedup within this read
 	d.mu.Lock()
-	for _, r := range snap.References {
-		key := fmt.Sprintf("%d|%d|%s", r.Hash, r.Type, r.Name)
-		if d.refs.has(key) {
-			continue
-		}
-		if _, dup := batch[key]; dup {
+	for _, r := range refs {
+		key := fmt.Sprintf("%d|%s|%s", r[1].I, r[2].S, r[3].S) // hash, obj_type, obj_name after ts_us
+		if _, dup := batch[key]; dup || d.refs.has(key) {
 			continue
 		}
 		batch[key] = struct{}{}
 		keys = append(keys, key)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(r.Hash)),
-			sqltypes.NewText(r.Type.String()),
-			sqltypes.NewText(r.Name),
-			sqltypes.NewText(r.Table),
-		}))
+		rows = append(rows, r)
 	}
 	d.mu.Unlock()
 	n, err := d.insertBatch(x, workloaddb.References, rows)
@@ -625,253 +649,20 @@ func (d *Daemon) appendReferences(x execTarget, ts int64, snap monitor.Snapshot)
 	return err
 }
 
-// appendObjectTables copies the per-object frequency tables.
-func (d *Daemon) appendObjectTables(x execTarget, ts int64, snap monitor.Snapshot) error {
-	cat := d.cfg.Source.Catalog()
-	var trows []sqltypes.Row
-	for _, t := range cat.Tables() {
-		tn := strings.ToLower(t.Name)
-		st := d.cfg.Source.TableState(t.Name)
-		trows = append(trows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewText(tn),
-			sqltypes.NewInt(snap.TableFreq[tn]),
-			sqltypes.NewText(string(t.Structure)),
-			sqltypes.NewInt(int64(st.Pages)),
-			sqltypes.NewInt(int64(st.OverflowPages)),
-			sqltypes.NewInt(st.Rows),
-		}))
-	}
-	if _, err := d.insertBatch(x, workloaddb.Tables, trows); err != nil {
-		return err
-	}
-
-	var arows []sqltypes.Row
-	for _, t := range cat.Tables() {
-		tn := strings.ToLower(t.Name)
-		for _, c := range t.Schema.Columns {
-			attr := tn + "." + strings.ToLower(c.Name)
-			if snap.AttrFreq[attr] == 0 {
-				continue // only attributes the workload touched
-			}
-			hasHist := int64(0)
-			if cat.Histogram(t.Name, c.Name) != nil {
-				hasHist = 1
-			}
-			arows = append(arows, tsRow(ts, sqltypes.Row{
-				sqltypes.NewText(attr),
-				sqltypes.NewText(tn),
-				sqltypes.NewInt(snap.AttrFreq[attr]),
-				sqltypes.NewInt(hasHist),
-			}))
-		}
-	}
-	if _, err := d.insertBatch(x, workloaddb.Attributes, arows); err != nil {
-		return err
-	}
-
-	var irows []sqltypes.Row
-	names := make([]string, 0, len(snap.IndexFreq))
-	for name := range snap.IndexFreq {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tableName := ""
-		isVirtual := int64(0)
-		if ix := cat.Index(name); ix != nil {
-			tableName = strings.ToLower(ix.Table)
-			if ix.Virtual {
-				isVirtual = 1
-			}
-		} else if strings.HasSuffix(name, ".primary") {
-			tableName = strings.TrimSuffix(name, ".primary")
-		}
-		irows = append(irows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewText(name),
-			sqltypes.NewText(tableName),
-			sqltypes.NewInt(snap.IndexFreq[name]),
-			sqltypes.NewInt(isVirtual),
-		}))
-	}
-	_, err := d.insertBatch(x, workloaddb.Indexes, irows)
-	return err
-}
-
-func (d *Daemon) appendStatistics(x execTarget, ts int64) error {
-	st := d.cfg.Source.Stats()
-	row := tsRow(ts, sqltypes.Row{
-		sqltypes.NewInt(st.CurrentSessions),
-		sqltypes.NewInt(st.PeakSessions),
-		sqltypes.NewInt(st.Statements),
-		sqltypes.NewInt(st.LocksHeld),
-		sqltypes.NewInt(st.LockWaits),
-		sqltypes.NewInt(st.Deadlocks),
-		sqltypes.NewInt(st.CacheHits),
-		sqltypes.NewInt(st.CacheMisses),
-		sqltypes.NewInt(st.DiskReads),
-		sqltypes.NewInt(st.DiskWrites),
-		sqltypes.NewInt(st.DBBytes),
-		// The daemon's own health counters, so collector degradation is
-		// visible (and trendable) in the persisted series.
-		sqltypes.NewInt(d.pollErrors.Load()),
-		sqltypes.NewInt(d.retries.Load()),
-		sqltypes.NewInt(d.carryDepth.Load()),
-		sqltypes.NewInt(d.alertErrors.Load()),
-		// Buffer-manager columns, appended after the health counters to
-		// keep older workload databases positionally compatible.
-		sqltypes.NewInt(st.CacheEvictions),
-		sqltypes.NewInt(st.CacheResident),
-		sqltypes.NewInt(st.PinWaits),
-		// WAL/recovery columns, appended last for the same positional
-		// compatibility reason.
-		sqltypes.NewInt(st.WALBytes),
-		sqltypes.NewInt(st.WALFsyncs),
-		sqltypes.NewInt(st.RedoRecords),
-		sqltypes.NewInt(st.RedoNanos),
-		// Autonomous-tuning column, appended last (positional
-		// compatibility).
-		sqltypes.NewInt(d.applyFailures()),
-		// Morsel-parallelism columns, appended after for the same
-		// positional-compatibility reason.
-		sqltypes.NewInt(st.ParallelQueries),
-		sqltypes.NewInt(st.MorselsDispatched),
-		sqltypes.NewInt(st.ParallelWorkerNanos),
-	})
-	_, err := d.insertBatch(x, workloaddb.Statistics, []sqltypes.Row{row})
-	return err
-}
-
-// applyFailures reads the analyzer hook, tolerating an unwired config.
-func (d *Daemon) applyFailures() int64 {
-	if d.cfg.ApplyFailures == nil {
-		return 0
-	}
-	return d.cfg.ApplyFailures()
-}
-
-// appendActions persists new apply-state-machine audit rows (Seq beyond
-// the watermark) into ws_actions. The watermark advances only past rows
-// that actually landed, so an insert failure retries them next poll.
+// appendActions persists the ima_actions rows (apply-state-machine
+// transitions) whose seq is beyond the watermark. The watermark
+// advances only past rows that actually landed, so an insert failure
+// retries them next poll. A source without ima_actions has none.
 func (d *Daemon) appendActions(x execTarget, ts int64) error {
-	if d.cfg.Actions == nil {
-		return nil
-	}
 	watermark := d.actionSeq.Load()
-	var rows []sqltypes.Row
-	var seqs []int64
-	for _, r := range d.cfg.Actions() {
-		if r.Seq <= watermark {
-			continue
-		}
-		seqs = append(seqs, r.Seq)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(r.Seq),
-			sqltypes.NewInt(r.ActionID),
-			sqltypes.NewText(r.Kind),
-			sqltypes.NewText(r.Target),
-			sqltypes.NewText(sqltypes.TruncateUTF8(r.SQL, workloaddb.StatementTextMax)),
-			sqltypes.NewText(r.State),
-			sqltypes.NewInt(r.Baseline),
-			sqltypes.NewInt(r.Observed),
-			sqltypes.NewFloat(r.DeltaPct),
-			sqltypes.NewInt(r.Samples),
-			sqltypes.NewInt(r.AtUs),
-			sqltypes.NewText(sqltypes.TruncateUTF8(r.Detail, workloaddb.StatementTextMax)),
-		}))
-	}
-	if len(rows) == 0 {
-		return nil
+	rows, _, err := d.readIMA(workloaddb.Actions, ts, func(r imaRow) bool { return r.int("seq") > watermark })
+	if err != nil {
+		return err
 	}
 	n, err := d.insertBatch(x, workloaddb.Actions, rows)
 	if n > 0 {
-		d.actionSeq.Store(seqs[n-1])
+		d.actionSeq.Store(rows[n-1][1].I) // the seq after ts_us
 	}
-	return err
-}
-
-// appendLatency persists one snapshot of the global latency histograms
-// (wallclock and optimize time) per poll: one row per non-empty
-// bucket, with cumulative counts. The trend analyzer differences
-// successive snapshots to compute per-interval quantiles (p99 trends,
-// not just means).
-func (d *Daemon) appendLatency(x execTarget, ts int64) error {
-	wall, opt := d.cfg.Mon.SnapshotLatency()
-	var rows []sqltypes.Row
-	emit := func(scope string, c *monitor.LatencyCounts) {
-		for b, n := range c {
-			if n == 0 {
-				continue
-			}
-			lo, hi := monitor.LatencyBucketBounds(b)
-			rows = append(rows, tsRow(ts, sqltypes.Row{
-				sqltypes.NewText(scope),
-				sqltypes.NewInt(int64(b)),
-				sqltypes.NewInt(int64(lo)),
-				sqltypes.NewInt(int64(hi)),
-				sqltypes.NewInt(n),
-			}))
-		}
-	}
-	emit("wall", &wall)
-	emit("opt", &opt)
-	if len(rows) == 0 {
-		return nil
-	}
-	_, err := d.insertBatch(x, workloaddb.Latency, rows)
-	return err
-}
-
-// appendWaits persists one ws_waits row per flagged statement per
-// poll: cumulative wait-class counters (like ws_latency, counter
-// semantics — the analyzer differences successive snapshots of the
-// same hash). Statements with no committed samples yet are skipped.
-func (d *Daemon) appendWaits(x execTarget, ts int64) error {
-	flags := d.cfg.Mon.SnapshotFlags()
-	var rows []sqltypes.Row
-	for _, f := range flags {
-		if f.Samples == 0 {
-			continue
-		}
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(f.Hash)),
-			sqltypes.NewText(sqltypes.TruncateUTF8(f.Text, workloaddb.StatementTextMax)),
-			sqltypes.NewText(f.Reason),
-			sqltypes.NewInt(f.Samples),
-			sqltypes.NewInt(f.Waits.WallNs),
-			sqltypes.NewInt(f.Waits.ExecNs),
-			sqltypes.NewInt(f.Waits.LockNs),
-			sqltypes.NewInt(f.Waits.IONs),
-			sqltypes.NewInt(f.Waits.FsyncNs),
-			sqltypes.NewInt(f.Waits.PinWaitNs),
-		}))
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	_, err := d.insertBatch(x, workloaddb.Waits, rows)
-	return err
-}
-
-// appendMvcc persists one ws_mvcc row per poll with the source's
-// snapshot-isolation health counters (mirroring ima_mvcc).
-func (d *Daemon) appendMvcc(x execTarget, ts int64) error {
-	mv := d.cfg.Source.MvccStats()
-	row := tsRow(ts, sqltypes.Row{
-		sqltypes.NewInt(mv.TxnBegins),
-		sqltypes.NewInt(mv.TxnCommits),
-		sqltypes.NewInt(mv.TxnAborts),
-		sqltypes.NewInt(mv.WriteConflicts),
-		sqltypes.NewInt(mv.InflightTxns),
-		sqltypes.NewInt(mv.ActiveSnapshots),
-		sqltypes.NewInt(mv.AbortedIDs),
-		sqltypes.NewInt(mv.OldestSnapshotNanos),
-		sqltypes.NewInt(mv.VacuumRuns),
-		sqltypes.NewInt(mv.VacuumReclaimed),
-		sqltypes.NewInt(mv.VacuumCleared),
-		sqltypes.NewInt(mv.RetiredIDs),
-		sqltypes.NewInt(mv.ChainLenP95),
-	})
-	_, err := d.insertBatch(x, workloaddb.Mvcc, []sqltypes.Row{row})
 	return err
 }
 
@@ -886,7 +677,7 @@ func (d *Daemon) evaluateAlerts(now time.Time) {
 	defer s.Close()
 	for _, a := range d.cfg.Alerts {
 		if err := d.evaluateAlert(s, a, now); err != nil {
-			d.alertErrors.Add(1)
+			d.health.AlertErrors.Add(1)
 			d.logf("daemon: alert %q: %v", a.Name, err)
 		}
 	}

@@ -464,7 +464,7 @@ func TestMonitorFullHandlerRearms(t *testing.T) {
 	}
 }
 
-// TestPollPersistsActions: audit rows from the Actions hook land in
+// TestPollPersistsActions: audit rows from ima_actions land in
 // ws_actions exactly once — the Seq watermark prevents re-inserting
 // rows already persisted, and apply_failures flows into ws_statistics.
 func TestPollPersistsActions(t *testing.T) {
@@ -473,12 +473,12 @@ func TestPollPersistsActions(t *testing.T) {
 		{Seq: 1, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "proposed", AtUs: 100},
 		{Seq: 2, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "accepted", Baseline: 50, Observed: 55, DeltaPct: 10, Samples: 40, AtUs: 200, Detail: "within threshold"},
 	}
+	if err := ima.RegisterActions(f.source, func() []ima.ActionRow { return rows }); err != nil {
+		t.Fatal(err)
+	}
 	var failures int64 = 3
-	d, err := New(Config{
-		Source: f.source, Mon: f.mon, Target: f.target,
-		Actions:       func() []ima.ActionRow { return rows },
-		ApplyFailures: func() int64 { return failures },
-	})
+	f.mon.Collector().ApplyFailures.Store(failures)
+	d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -364,6 +364,17 @@ func (db *DB) RegisterVirtual(name string, schema sqltypes.Schema, provider func
 	return nil
 }
 
+// ReadVirtual returns the schema and a fresh row snapshot of a
+// registered virtual table, straight from its provider: no session, no
+// plan and no monitoring. ok is false when no such table is registered.
+func (db *DB) ReadVirtual(name string) (schema sqltypes.Schema, rows []sqltypes.Row, ok bool) {
+	vt := db.virtualTable(name)
+	if vt == nil {
+		return sqltypes.Schema{}, nil, false
+	}
+	return vt.meta.Schema, vt.provider(), true
+}
+
 // Monitor returns the attached monitor, or nil.
 func (db *DB) Monitor() *monitor.Monitor { return db.mon }
 

@@ -25,26 +25,30 @@ type ActionRow struct {
 	Detail   string  // decision reason or error text
 }
 
+// Actions is the audit-trail table RegisterActions installs.
+const Actions = "ima_actions"
+
+var actionsSchema = sqltypes.NewSchema(
+	sqltypes.Column{Name: "seq", Type: sqltypes.Int},
+	sqltypes.Column{Name: "action_id", Type: sqltypes.Int},
+	sqltypes.Column{Name: "kind", Type: sqltypes.Text},
+	sqltypes.Column{Name: "target", Type: sqltypes.Text},
+	sqltypes.Column{Name: "sql_text", Type: sqltypes.Text},
+	sqltypes.Column{Name: "state", Type: sqltypes.Text},
+	sqltypes.Column{Name: "baseline_us", Type: sqltypes.Int},
+	sqltypes.Column{Name: "observed_us", Type: sqltypes.Int},
+	sqltypes.Column{Name: "delta_pct", Type: sqltypes.Float},
+	sqltypes.Column{Name: "samples", Type: sqltypes.Int},
+	sqltypes.Column{Name: "at_us", Type: sqltypes.Int},
+	sqltypes.Column{Name: "detail", Type: sqltypes.Text},
+)
+
 // RegisterActions installs the ima_actions virtual table: the audit
 // trail of the analyzer's apply state machine, queryable over plain
 // SQL like every other IMA table. gather returns the accumulated
 // transition rows (oldest first).
 func RegisterActions(db *engine.DB, gather func() []ActionRow) error {
-	schema := sqltypes.NewSchema(
-		sqltypes.Column{Name: "seq", Type: sqltypes.Int},
-		sqltypes.Column{Name: "action_id", Type: sqltypes.Int},
-		sqltypes.Column{Name: "kind", Type: sqltypes.Text},
-		sqltypes.Column{Name: "target", Type: sqltypes.Text},
-		sqltypes.Column{Name: "sql_text", Type: sqltypes.Text},
-		sqltypes.Column{Name: "state", Type: sqltypes.Text},
-		sqltypes.Column{Name: "baseline_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "observed_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "delta_pct", Type: sqltypes.Float},
-		sqltypes.Column{Name: "samples", Type: sqltypes.Int},
-		sqltypes.Column{Name: "at_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "detail", Type: sqltypes.Text},
-	)
-	return db.RegisterVirtual("ima_actions", schema, func() []sqltypes.Row {
+	return db.RegisterVirtual(Actions, actionsSchema, func() []sqltypes.Row {
 		ar := gather()
 		rows := make([]sqltypes.Row, 0, len(ar))
 		for _, r := range ar {

@@ -12,7 +12,8 @@
 //	ima_tables      — per-table frequency and physical state
 //	ima_attributes  — per-attribute frequency and histogram presence
 //	ima_indexes     — per-index frequency
-//	ima_statistics  — system-wide statistics (sessions, locks, cache)
+//	ima_statistics  — system-wide statistics (sessions, locks, cache,
+//	                  WAL, parallelism) and the collector's health
 //
 // The telemetry plane adds three more:
 //
@@ -35,10 +36,16 @@
 //	ima_mvcc        — snapshot-isolation health: txn begin/commit/abort
 //	                  counters, write conflicts, oldest snapshot age,
 //	                  vacuum reclaim progress and chain-length p95
+//
+// ima_statistics and ima_mvcc are generated from the counter registry
+// (counters.go), which also backs their /metrics series. Every table
+// here, and ima_actions, is the schema of a ws_* table the storage
+// daemon persists.
 package ima
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -48,16 +55,46 @@ import (
 )
 
 // Register installs the IMA virtual tables on db, reading from mon.
-// The statistics table also samples engine-wide counters.
+// ima_statistics and ima_mvcc are generated from Counters.
 func Register(db *engine.DB, mon *monitor.Monitor) error {
 	if mon == nil {
 		return fmt.Errorf("ima: monitor is required")
 	}
-	regs := []struct {
-		name     string
-		schema   sqltypes.Schema
-		provider func() []sqltypes.Row
-	}{
+	for _, t := range tables() {
+		if err := db.RegisterVirtual(t.name, t.schema, func() []sqltypes.Row { return t.rows(db, mon) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Schema returns the declared schema of an IMA table, ima_actions
+// included. The workload database derives its ws_* tables from it.
+func Schema(name string) (sqltypes.Schema, bool) {
+	if name == Actions {
+		return actionsSchema, true
+	}
+	for _, t := range tables() {
+		if t.name == name {
+			return t.schema, true
+		}
+	}
+	return sqltypes.Schema{}, false
+}
+
+// table declares one IMA virtual table: its schema and how its rows
+// are read from the engine and the monitor.
+type table struct {
+	name   string
+	schema sqltypes.Schema
+	rows   func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row
+}
+
+// tables declares the IMA tables Register installs. It is a function,
+// not a variable, so the counter tables follow Counters as it is at the
+// time of the call.
+func tables() []table {
+	return []table{
 		{
 			name: "ima_statements",
 			schema: sqltypes.NewSchema(
@@ -68,7 +105,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "first_seen_us", Type: sqltypes.Int},
 				sqltypes.Column{Name: "last_seen_us", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				stmts := mon.SnapshotStatements()
 				rows := make([]sqltypes.Row, 0, len(stmts))
 				for _, s := range stmts {
@@ -100,11 +137,11 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "mon_ns", Type: sqltypes.Int},
 				sqltypes.Column{Name: "error", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				work := mon.SnapshotWorkload()
 				rows := make([]sqltypes.Row, 0, len(work))
 				for _, w := range work {
-					rows = append(rows, workloadRow(w))
+					rows = append(rows, WorkloadRow(w))
 				}
 				return rows
 			},
@@ -117,7 +154,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "obj_name", Type: sqltypes.Text},
 				sqltypes.Column{Name: "table_name", Type: sqltypes.Text},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				refs := mon.SnapshotReferences()
 				rows := make([]sqltypes.Row, 0, len(refs))
 				for _, r := range refs {
@@ -141,7 +178,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "overflow_pages", Type: sqltypes.Int},
 				sqltypes.Column{Name: "row_count", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				tableFreq, _, _ := mon.SnapshotFrequencies()
 				var rows []sqltypes.Row
 				for _, t := range db.Catalog().Tables() {
@@ -166,7 +203,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
 				sqltypes.Column{Name: "has_histogram", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				_, attrFreq, _ := mon.SnapshotFrequencies()
 				var rows []sqltypes.Row
 				for _, t := range db.Catalog().Tables() {
@@ -196,7 +233,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
 				sqltypes.Column{Name: "is_virtual", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				_, _, indexFreq := mon.SnapshotFrequencies()
 				var rows []sqltypes.Row
 				for _, ix := range db.Catalog().Indexes() {
@@ -218,61 +255,13 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 						})
 					}
 				}
+				// Map iteration order is random; every read returns the
+				// rows sorted by index name.
+				sort.Slice(rows, func(i, j int) bool { return rows[i][0].S < rows[j][0].S })
 				return rows
 			},
 		},
-		{
-			name: "ima_statistics",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "current_sessions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "peak_sessions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "statements", Type: sqltypes.Int},
-				sqltypes.Column{Name: "locks_held", Type: sqltypes.Int},
-				sqltypes.Column{Name: "lock_waits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "deadlocks", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_hits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_misses", Type: sqltypes.Int},
-				sqltypes.Column{Name: "disk_reads", Type: sqltypes.Int},
-				sqltypes.Column{Name: "disk_writes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "db_bytes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_evictions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_resident", Type: sqltypes.Int},
-				sqltypes.Column{Name: "pin_waits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wal_bytes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wal_fsyncs", Type: sqltypes.Int},
-				sqltypes.Column{Name: "redo_records", Type: sqltypes.Int},
-				sqltypes.Column{Name: "redo_nanos", Type: sqltypes.Int},
-				sqltypes.Column{Name: "parallel_queries", Type: sqltypes.Int},
-				sqltypes.Column{Name: "morsels_dispatched", Type: sqltypes.Int},
-				sqltypes.Column{Name: "parallel_worker_nanos", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				st := db.Stats()
-				return []sqltypes.Row{{
-					sqltypes.NewInt(st.CurrentSessions),
-					sqltypes.NewInt(st.PeakSessions),
-					sqltypes.NewInt(st.Statements),
-					sqltypes.NewInt(st.LocksHeld),
-					sqltypes.NewInt(st.LockWaits),
-					sqltypes.NewInt(st.Deadlocks),
-					sqltypes.NewInt(st.CacheHits),
-					sqltypes.NewInt(st.CacheMisses),
-					sqltypes.NewInt(st.DiskReads),
-					sqltypes.NewInt(st.DiskWrites),
-					sqltypes.NewInt(st.DBBytes),
-					sqltypes.NewInt(st.CacheEvictions),
-					sqltypes.NewInt(st.CacheResident),
-					sqltypes.NewInt(st.PinWaits),
-					sqltypes.NewInt(st.WALBytes),
-					sqltypes.NewInt(st.WALFsyncs),
-					sqltypes.NewInt(st.RedoRecords),
-					sqltypes.NewInt(st.RedoNanos),
-					sqltypes.NewInt(st.ParallelQueries),
-					sqltypes.NewInt(st.MorselsDispatched),
-					sqltypes.NewInt(st.ParallelWorkerNanos),
-				}}
-			},
-		},
+		counterTable(Statistics),
 		{
 			name: "ima_latency",
 			schema: sqltypes.NewSchema(
@@ -285,7 +274,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				// in the SQL grammar.
 				sqltypes.Column{Name: "bucket_count", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				var rows []sqltypes.Row
 				wall, opt := mon.SnapshotLatency()
 				rows = appendLatencyRows(rows, "wall", 0, &wall)
@@ -313,7 +302,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "self_ns", Type: sqltypes.Int},
 				sqltypes.Column{Name: "calls", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				var rows []sqltypes.Row
 				for _, t := range mon.SnapshotTraces() {
 					for _, sp := range t.Spans {
@@ -348,7 +337,7 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "expires_us", Type: sqltypes.Int}, // 0 = never
 				sqltypes.Column{Name: "samples", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				now := time.Now()
 				flags := mon.SnapshotFlags()
 				rows := make([]sqltypes.Row, 0, len(flags))
@@ -371,47 +360,13 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				return rows
 			},
 		},
-		{
-			name: "ima_mvcc",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "txn_begins", Type: sqltypes.Int},
-				sqltypes.Column{Name: "txn_commits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "txn_aborts", Type: sqltypes.Int},
-				sqltypes.Column{Name: "write_conflicts", Type: sqltypes.Int},
-				sqltypes.Column{Name: "inflight_txns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "active_snapshots", Type: sqltypes.Int},
-				sqltypes.Column{Name: "aborted_ids", Type: sqltypes.Int},
-				sqltypes.Column{Name: "oldest_snapshot_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_runs", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_reclaimed", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_cleared", Type: sqltypes.Int},
-				sqltypes.Column{Name: "retired_ids", Type: sqltypes.Int},
-				sqltypes.Column{Name: "chain_len_p95", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				mv := db.MvccStats()
-				return []sqltypes.Row{{
-					sqltypes.NewInt(mv.TxnBegins),
-					sqltypes.NewInt(mv.TxnCommits),
-					sqltypes.NewInt(mv.TxnAborts),
-					sqltypes.NewInt(mv.WriteConflicts),
-					sqltypes.NewInt(mv.InflightTxns),
-					sqltypes.NewInt(mv.ActiveSnapshots),
-					sqltypes.NewInt(mv.AbortedIDs),
-					sqltypes.NewInt(mv.OldestSnapshotNanos),
-					sqltypes.NewInt(mv.VacuumRuns),
-					sqltypes.NewInt(mv.VacuumReclaimed),
-					sqltypes.NewInt(mv.VacuumCleared),
-					sqltypes.NewInt(mv.RetiredIDs),
-					sqltypes.NewInt(mv.ChainLenP95),
-				}}
-			},
-		},
+		counterTable(Mvcc),
 		{
 			name: "ima_waits",
 			schema: sqltypes.NewSchema(
 				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
 				sqltypes.Column{Name: "query_text", Type: sqltypes.Text},
+				sqltypes.Column{Name: "reason", Type: sqltypes.Text},
 				sqltypes.Column{Name: "samples", Type: sqltypes.Int},
 				sqltypes.Column{Name: "wall_ns", Type: sqltypes.Int},
 				sqltypes.Column{Name: "exec_ns", Type: sqltypes.Int},
@@ -420,13 +375,14 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 				sqltypes.Column{Name: "fsync_ns", Type: sqltypes.Int},
 				sqltypes.Column{Name: "pinwait_ns", Type: sqltypes.Int},
 			),
-			provider: func() []sqltypes.Row {
+			rows: func(db *engine.DB, mon *monitor.Monitor) []sqltypes.Row {
 				flags := mon.SnapshotFlags()
 				rows := make([]sqltypes.Row, 0, len(flags))
 				for _, f := range flags {
 					rows = append(rows, sqltypes.Row{
 						sqltypes.NewInt(int64(f.Hash)),
 						sqltypes.NewText(truncate(f.Text, engine.MaxTextBytes)),
+						sqltypes.NewText(f.Reason),
 						sqltypes.NewInt(f.Samples),
 						sqltypes.NewInt(f.Waits.WallNs),
 						sqltypes.NewInt(f.Waits.ExecNs),
@@ -440,12 +396,6 @@ func Register(db *engine.DB, mon *monitor.Monitor) error {
 			},
 		},
 	}
-	for _, r := range regs {
-		if err := db.RegisterVirtual(r.name, r.schema, r.provider); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // appendLatencyRows emits one row per non-empty histogram bucket.
@@ -514,9 +464,11 @@ func RegisterHealth(db *engine.DB, gather func() []HealthMetric) error {
 	})
 }
 
-// workloadRow converts a workload entry to its IMA row form (shared
-// with the storage daemon).
-func workloadRow(w monitor.WorkloadEntry) sqltypes.Row {
+// WorkloadRow converts a workload entry to its ima_workload row. The
+// storage daemon uses it when it drains the monitor directly (the
+// in-core variant of data collection the paper describes as the next
+// step in §IV-B).
+func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 	return sqltypes.Row{
 		sqltypes.NewInt(int64(w.Hash)),
 		sqltypes.NewInt(w.Start.UnixMicro()),
@@ -532,11 +484,6 @@ func workloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 		sqltypes.NewBool(w.Err),
 	}
 }
-
-// WorkloadRow is the exported form used by the storage daemon when it
-// drains the monitor directly (the in-core variant of data collection
-// the paper describes as the next step in §IV-B).
-func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row { return workloadRow(w) }
 
 // truncate bounds statement text without splitting a multi-byte rune.
 func truncate(s string, n int) string { return sqltypes.TruncateUTF8(s, n) }

@@ -2,6 +2,8 @@ package ima
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -164,5 +166,51 @@ func TestDoubleRegisterFails(t *testing.T) {
 	db, mon, _ := newMonitoredDB(t)
 	if err := Register(db, mon); err == nil {
 		t.Fatal("double Register succeeded")
+	}
+}
+
+// TestIndexesTableOrderIsStable: the "<table>.primary" rows come from a
+// map, so ima_indexes sorts its rows; repeated reads (and the ws_indexes
+// copies persisted from them) list the indexes in one order.
+func TestIndexesTableOrderIsStable(t *testing.T) {
+	db, _, s := newMonitoredDB(t)
+	for i := 0; i < 4; i++ {
+		exec(t, s, fmt.Sprintf("CREATE TABLE bt%d (id INTEGER, v INTEGER)", i))
+		for k := 0; k < seedRows; k += 500 {
+			vals := make([]string, 500)
+			for j := range vals {
+				vals[j] = fmt.Sprintf("(%d, %d)", k+j, k+j)
+			}
+			exec(t, s, fmt.Sprintf("INSERT INTO bt%d VALUES %s", i, strings.Join(vals, ", ")))
+		}
+		exec(t, s, fmt.Sprintf("MODIFY bt%d TO BTREE ON id", i))
+		exec(t, s, fmt.Sprintf("CREATE INDEX ix_bt%d ON bt%d (v)", i, i))
+		exec(t, s, fmt.Sprintf("SELECT v FROM bt%d WHERE id = 2", i))
+	}
+	read := func() []string {
+		_, rows, _ := db.ReadVirtual("ima_indexes")
+		names := make([]string, len(rows))
+		for i, r := range rows {
+			names[i] = r[0].S
+		}
+		return names
+	}
+	first := read()
+	primaries := 0
+	for _, n := range first {
+		if strings.HasSuffix(n, ".primary") {
+			primaries++
+		}
+	}
+	if primaries < 2 {
+		t.Fatalf("want several <table>.primary rows to order, got %v", first)
+	}
+	if !sort.StringsAreSorted(first) {
+		t.Errorf("ima_indexes not sorted by index name: %v", first)
+	}
+	for i := 0; i < 10; i++ {
+		if again := read(); strings.Join(again, ",") != strings.Join(first, ",") {
+			t.Fatalf("read %d: order changed:\n%v\n%v", i, first, again)
+		}
 	}
 }

@@ -176,7 +176,24 @@ type Monitor struct {
 	// phase2Nanos is the self-measured cost of the phase-2 machinery
 	// (flag lookups + wait recording); phase 1 is monNanosTotal.
 	phase2Nanos atomic.Int64
+
+	collector Collector
 }
+
+// Collector holds the health counters of the components that collect
+// and act on the monitoring data: the storage daemon and the analyzer.
+// They live on the monitor so the IMA tables expose them beside the
+// engine counters, and the daemon persists them like any other IMA row.
+type Collector struct {
+	PollErrors     atomic.Int64 // daemon polls that returned a transient error
+	Retries        atomic.Int64 // backoff retry polls the daemon ran
+	CarryoverDepth atomic.Int64 // drained workload entries awaiting re-insert
+	AlertErrors    atomic.Int64 // alert evaluations that failed
+	ApplyFailures  atomic.Int64 // recommendations the analyzer could not execute
+}
+
+// Collector returns the collector health counters.
+func (m *Monitor) Collector() *Collector { return &m.collector }
 
 // New creates an enabled monitor with the given configuration. Zero
 // capacities fall back to the defaults.

@@ -5,8 +5,7 @@ import (
 	"time"
 )
 
-// Snapshot is a consistent copy of all ring buffers, taken by the IMA
-// layer and the storage daemon.
+// Snapshot is a consistent copy of all ring buffers, taken in one cut.
 type Snapshot struct {
 	Taken      time.Time
 	Statements []StatementInfo
@@ -122,22 +121,6 @@ func (m *Monitor) Snapshot() Snapshot {
 	s.References = m.referencesLocked()
 	s.TableFreq, s.AttrFreq, s.IndexFreq = m.frequenciesLocked()
 	s.Workload = m.workloadLocked()
-	return s
-}
-
-// SnapshotStatementSide copies the statement-side state — statements,
-// references and object frequencies — in one consistent cut, without
-// locking the workload shards (the Workload field is left nil). The
-// storage daemon pairs it with DrainWorkload so a poll never blocks
-// concurrent workload commits while it merges the statement table.
-func (m *Monitor) SnapshotStatementSide() Snapshot {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-
-	s := Snapshot{Taken: time.Now()}
-	s.Statements = m.statementsLocked()
-	s.References = m.referencesLocked()
-	s.TableFreq, s.AttrFreq, s.IndexFreq = m.frequenciesLocked()
 	return s
 }
 

@@ -5,17 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/daemon"
-	"repro/internal/engine"
-	"repro/internal/ima"
 	"repro/internal/monitor"
-	"repro/internal/workloaddb"
 )
 
 var (
@@ -218,101 +213,5 @@ func TestServeListensAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + srv.Addr() + "/metrics"); err == nil {
 		t.Error("server still reachable after Close")
-	}
-}
-
-// TestMetricsAgreeWithWsStatistics scrapes /metrics after a daemon
-// poll and cross-checks the daemon self-observability values against
-// the columns the same poll appended to ws_statistics.
-func TestMetricsAgreeWithWsStatistics(t *testing.T) {
-	dir := t.TempDir()
-	mon := monitor.New(monitor.Config{})
-	source, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "src"), PoolPages: 256, Monitor: mon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer source.Close()
-	if err := ima.Register(source, mon); err != nil {
-		t.Fatal(err)
-	}
-	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-
-	s := source.NewSession()
-	defer s.Close()
-	if _, err := s.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := s.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d)", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	d, err := daemon.New(daemon.Config{Source: source, Mon: mon, Target: target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Poll(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := NewRegistry()
-	reg.Register("engine", EngineSource(source))
-	reg.Register("daemon", DaemonSource(d))
-	ts := httptest.NewServer(reg.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	body := string(raw)
-	checkPrometheusText(t, body)
-
-	ws := target.NewSession()
-	defer ws.Close()
-	res, err := ws.Exec("SELECT statements, poll_errors, retries, carryover_depth, alert_errors, " +
-		"cache_evictions, cache_resident, pin_waits, wal_bytes, wal_fsyncs, redo_records, redo_nanos FROM " +
-		workloaddb.Statistics + " ORDER BY ts_us DESC LIMIT 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("ws_statistics rows = %d, want 1", len(res.Rows))
-	}
-	row := res.Rows[0]
-	checks := []struct {
-		metric string
-		col    string
-		want   int64
-	}{
-		{"engine_statements_total", "statements", row[0].I},
-		{"daemon_poll_errors_total", "poll_errors", row[1].I},
-		{"daemon_retries_total", "retries", row[2].I},
-		{"daemon_carryover_depth", "carryover_depth", row[3].I},
-		{"daemon_alert_errors_total", "alert_errors", row[4].I},
-		{"engine_cache_evictions_total", "cache_evictions", row[5].I},
-		{"engine_cache_resident", "cache_resident", row[6].I},
-		{"engine_cache_pin_waits_total", "pin_waits", row[7].I},
-		{"engine_wal_bytes_total", "wal_bytes", row[8].I},
-		{"engine_wal_fsyncs_total", "wal_fsyncs", row[9].I},
-		{"engine_redo_records", "redo_records", row[10].I},
-		{"engine_redo_nanos", "redo_nanos", row[11].I},
-	}
-	for _, c := range checks {
-		if got := metricValue(t, body, c.metric); got != float64(c.want) {
-			t.Errorf("%s = %v, but ws_statistics.%s = %d", c.metric, got, c.col, c.want)
-		}
-	}
-	if got := metricValue(t, body, "daemon_polls_total"); got != 1 {
-		t.Errorf("daemon_polls_total = %v, want 1", got)
-	}
-	if metricValue(t, body, "daemon_last_poll_timestamp_seconds") <= 0 {
-		t.Error("daemon_last_poll_timestamp_seconds missing or zero")
 	}
 }

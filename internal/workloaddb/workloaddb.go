@@ -8,9 +8,12 @@ package workloaddb
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ima"
+	"repro/internal/sqltypes"
 )
 
 // Table names in the workload database. Every table carries a ts_us
@@ -31,97 +34,96 @@ const (
 )
 
 // StatementTextMax bounds persisted statement text in bytes. It
-// matches both the query_text VARCHAR(512) column below and the
-// engine's MaxTextBytes row limit; the daemon truncates statement
-// text to this many bytes on a rune boundary before appending.
+// matches the engine's MaxTextBytes row limit, to which the IMA tables
+// truncate statement text on a rune boundary.
 const StatementTextMax = 512
 
-// schemaDDL creates the workload tables.
-var schemaDDL = []string{
-	`CREATE TABLE IF NOT EXISTS ` + Statements + ` (
-		ts_us BIGINT, hash BIGINT, query_text VARCHAR(512), kind VARCHAR(32),
-		frequency BIGINT, first_seen_us BIGINT, last_seen_us BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Workload + ` (
-		ts_us BIGINT, hash BIGINT, start_us BIGINT, wall_us BIGINT, opt_us BIGINT,
-		exec_cpu BIGINT, exec_io BIGINT, est_cpu FLOAT, est_io FLOAT, est_rows FLOAT,
-		rows BIGINT, mon_ns BIGINT, error BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + References + ` (
-		ts_us BIGINT, hash BIGINT, obj_type VARCHAR(16), obj_name VARCHAR(128),
-		table_name VARCHAR(64))`,
-	`CREATE TABLE IF NOT EXISTS ` + Tables + ` (
-		ts_us BIGINT, table_name VARCHAR(64), frequency BIGINT, structure VARCHAR(16),
-		data_pages BIGINT, overflow_pages BIGINT, row_count BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Attributes + ` (
-		ts_us BIGINT, attr_name VARCHAR(128), table_name VARCHAR(64),
-		frequency BIGINT, has_histogram BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Indexes + ` (
-		ts_us BIGINT, index_name VARCHAR(64), table_name VARCHAR(64),
-		frequency BIGINT, is_virtual BIGINT)`,
-	// After db_bytes come the storage daemon's own health counters,
-	// sampled each poll so the collector's failure history is queryable
-	// (and trendable) like any other statistic. The trailing three
-	// buffer-manager columns (evictions, resident, pin waits) are
-	// appended — never inserted mid-row — so older workload databases
-	// stay readable by position.
-	`CREATE TABLE IF NOT EXISTS ` + Statistics + ` (
-		ts_us BIGINT, current_sessions BIGINT, peak_sessions BIGINT, statements BIGINT,
-		locks_held BIGINT, lock_waits BIGINT, deadlocks BIGINT, cache_hits BIGINT,
-		cache_misses BIGINT, disk_reads BIGINT, disk_writes BIGINT, db_bytes BIGINT,
-		poll_errors BIGINT, retries BIGINT, carryover_depth BIGINT, alert_errors BIGINT,
-		cache_evictions BIGINT, cache_resident BIGINT, pin_waits BIGINT,
-		wal_bytes BIGINT, wal_fsyncs BIGINT, redo_records BIGINT, redo_nanos BIGINT,
-		apply_failures BIGINT,
-		parallel_queries BIGINT, morsels_dispatched BIGINT, parallel_worker_nanos BIGINT)`,
-	// One row per non-empty histogram bucket per poll. Counts are
-	// cumulative since monitor start (counter semantics, like
-	// Prometheus); the analyzer differences successive snapshots to get
-	// per-interval distributions and quantiles.
-	`CREATE TABLE IF NOT EXISTS ` + Latency + ` (
-		ts_us BIGINT, scope VARCHAR(8), bucket BIGINT, lo_ns BIGINT, hi_ns BIGINT,
-		bucket_count BIGINT)`,
-	// The persisted audit trail of the analyzer's apply state machine:
-	// one row per action state transition, mirroring ima_actions. seq is
-	// monotone within one applier lifetime; the daemon uses it as an
-	// append watermark.
-	`CREATE TABLE IF NOT EXISTS ` + Actions + ` (
-		ts_us BIGINT, seq BIGINT, action_id BIGINT, kind VARCHAR(32),
-		target VARCHAR(64), sql_text VARCHAR(512), state VARCHAR(16),
-		baseline_us BIGINT, observed_us BIGINT, delta_pct FLOAT,
-		samples BIGINT, at_us BIGINT, detail VARCHAR(512))`,
-	// Phase-2 wait attribution: one row per flagged statement per poll,
-	// with cumulative nanosecond counters per wait class (counter
-	// semantics, like ws_latency: the analyzer differences successive
-	// snapshots of the same hash for per-interval breakdowns).
-	`CREATE TABLE IF NOT EXISTS ` + Waits + ` (
-		ts_us BIGINT, hash BIGINT, query_text VARCHAR(512), reason VARCHAR(16),
-		samples BIGINT, wall_ns BIGINT, exec_ns BIGINT, lock_ns BIGINT,
-		io_ns BIGINT, fsync_ns BIGINT, pinwait_ns BIGINT)`,
-	// MVCC snapshot-isolation health: one row per poll, mirroring
-	// ima_mvcc. Counter columns (begins/commits/aborts/conflicts,
-	// vacuum_*) are cumulative; gauge columns (inflight, snapshots,
-	// oldest_snapshot_ns, chain_len_p95) are instantaneous.
-	`CREATE TABLE IF NOT EXISTS ` + Mvcc + ` (
-		ts_us BIGINT, txn_begins BIGINT, txn_commits BIGINT, txn_aborts BIGINT,
-		write_conflicts BIGINT, inflight_txns BIGINT, active_snapshots BIGINT,
-		aborted_ids BIGINT, oldest_snapshot_ns BIGINT, vacuum_runs BIGINT,
-		vacuum_reclaimed BIGINT, vacuum_cleared BIGINT, retired_ids BIGINT,
-		chain_len_p95 BIGINT)`,
+// Table maps one workload table onto the IMA table it is a timestamped
+// copy of: the columns of a ws_* table are ts_us followed by the
+// columns of its IMA table, or by the listed subset of them.
+type Table struct {
+	Name    string
+	IMA     string
+	Columns []string // projection onto the IMA columns; nil keeps all
 }
 
-// AllTables lists every workload table, for pruning and reporting.
-var AllTables = []string{Statements, Workload, References, Tables, Attributes, Indexes, Statistics, Latency, Actions, Waits, Mvcc}
+// AllTables lists every workload table. Counter columns (ws_latency
+// bucket counts, ws_waits nanoseconds, the cumulative registry
+// counters) keep counter semantics: the analyzer differences successive
+// polls. ws_actions' seq is the daemon's append watermark.
+var AllTables = []Table{
+	{Name: Statements, IMA: "ima_statements"},
+	{Name: Workload, IMA: "ima_workload"},
+	{Name: References, IMA: "ima_references"},
+	{Name: Tables, IMA: "ima_tables"},
+	{Name: Attributes, IMA: "ima_attributes"},
+	{Name: Indexes, IMA: "ima_indexes"},
+	{Name: Statistics, IMA: ima.Statistics},
+	{Name: Latency, IMA: "ima_latency", Columns: []string{"scope", "bucket", "lo_ns", "hi_ns", "bucket_count"}},
+	{Name: Actions, IMA: ima.Actions},
+	{Name: Waits, IMA: "ima_waits"},
+	{Name: Mvcc, IMA: ima.Mvcc},
+}
 
-// EnsureSchema creates the workload tables if they do not exist.
+// Lookup returns the workload table called name.
+func Lookup(name string) (Table, bool) {
+	for _, t := range AllTables {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return Table{}, false
+}
+
+// Project returns, for each column of t after ts_us, its index in the
+// IMA schema.
+func (t Table) Project(schema sqltypes.Schema) ([]int, error) {
+	if t.Columns == nil {
+		idx := make([]int, schema.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx, nil
+	}
+	idx := make([]int, len(t.Columns))
+	for i, c := range t.Columns {
+		if idx[i] = schema.ColIndex(c); idx[i] < 0 {
+			return nil, fmt.Errorf("workloaddb: %s has no column %s", t.IMA, c)
+		}
+	}
+	return idx, nil
+}
+
+// EnsureSchema creates the workload tables if they do not exist, each
+// generated from the declared schema of its IMA table.
 func EnsureSchema(db *engine.DB) error {
 	s := db.NewSession()
 	defer s.Close()
-	for _, ddl := range schemaDDL {
-		if _, err := s.Exec(ddl); err != nil {
+	for _, t := range AllTables {
+		schema, ok := ima.Schema(t.IMA)
+		if !ok {
+			return fmt.Errorf("workloaddb: %s: unknown IMA table %s", t.Name, t.IMA)
+		}
+		idx, err := t.Project(schema)
+		if err != nil {
+			return err
+		}
+		var b strings.Builder
+		b.WriteString("CREATE TABLE IF NOT EXISTS " + t.Name + " (ts_us BIGINT")
+		for _, i := range idx {
+			c := schema.Columns[i]
+			b.WriteString(", " + c.Name + " " + sqlType[c.Type])
+		}
+		b.WriteString(")")
+		if _, err := s.Exec(b.String()); err != nil {
 			return fmt.Errorf("workloaddb: %w", err)
 		}
 	}
 	return nil
 }
+
+// sqlType is the column type a ws_* table declares for an IMA type.
+var sqlType = map[sqltypes.Type]string{sqltypes.Int: "BIGINT", sqltypes.Float: "FLOAT", sqltypes.Text: "VARCHAR"}
 
 // Prune deletes rows older than the retention window from every table.
 // It returns the number of rows removed.
@@ -131,9 +133,9 @@ func Prune(db *engine.DB, retention time.Duration, now time.Time) (int64, error)
 	defer s.Close()
 	var removed int64
 	for _, t := range AllTables {
-		res, err := s.Exec(fmt.Sprintf("DELETE FROM %s WHERE ts_us < %d", t, cutoff))
+		res, err := s.Exec(fmt.Sprintf("DELETE FROM %s WHERE ts_us < %d", t.Name, cutoff))
 		if err != nil {
-			return removed, fmt.Errorf("workloaddb: prune %s: %w", t, err)
+			return removed, fmt.Errorf("workloaddb: prune %s: %w", t.Name, err)
 		}
 		removed += res.RowsAffected
 	}
