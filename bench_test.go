@@ -552,6 +552,13 @@ func benchScanAgg(b *testing.B, batch bool) {
 	}
 }
 
+// BenchmarkPointSelect and BenchmarkIndexJoinProbe measure the index
+// probe layer on the scanrows instance: an isolated primary-key point
+// select, and one index-join probe per op. The bench trajectory
+// (benchrunner -bench-out) records the same two benchmarks.
+func BenchmarkPointSelect(b *testing.B)    { experiments.BenchPointSelect(scanAggInstance(b))(b) }
+func BenchmarkIndexJoinProbe(b *testing.B) { experiments.BenchIndexJoinProbe(scanAggInstance(b))(b) }
+
 func BenchmarkScanAgg_Row(b *testing.B)   { benchScanAgg(b, false) }
 func BenchmarkScanAgg_Batch(b *testing.B) { benchScanAgg(b, true) }
 

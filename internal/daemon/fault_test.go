@@ -25,7 +25,7 @@ var errInjected = errors.New("injected storage fault")
 // fatally.
 type flakyDB struct {
 	db     *engine.DB
-	every  int64       // >0: fail every nth Exec
+	every  int64 // >0: fail every nth Exec
 	calls  atomic.Int64
 	forced atomic.Bool // fail every Exec while set
 	fatal  atomic.Bool // fail with a FatalError while set

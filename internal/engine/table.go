@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -138,12 +137,10 @@ func (db *DB) checkUnique(h *tableHandle, row sqltypes.Row, self uint64) error {
 		if err != nil {
 			return err
 		}
-		it := bt.Seek(key)
+		// Entries are key || TID suffix, and a suffix never starts with
+		// 0xFF, so [key, key||0xFF) holds exactly the entries of key.
+		it := bt.Range(key, append(key, 0xFF), nil)
 		for it.Next() {
-			k := it.Key()
-			if len(k) < len(key) || string(k[:len(key)]) != string(key) {
-				break
-			}
 			tid := tidFromBytes(it.Value())
 			rec, ok, gerr := h.heap.Get(tid)
 			if gerr != nil {
@@ -406,27 +403,40 @@ func (r *heapBatchRowIter) NextBatch(b *executor.Batch) (bool, error) {
 // Close releases the page pins backing the last record batch.
 func (r *heapBatchRowIter) Close() error { return r.it.Close() }
 
-// btreeFetchIter walks a B-Tree key range whose values are TIDs and
-// fetches the base rows from the heap, filtering versions through the
-// statement's snapshot. A dangling entry (vacuum reclaimed the version
-// under a buffered iterator) is skipped, as is a reused slot holding a
-// version the snapshot cannot see — any such reuse happened after the
-// snapshot, so visibility filters it out.
+// btreeFetchIter is the engine's executor.IndexCursor: it walks a
+// B-Tree key range whose values are TIDs and fetches the base rows from
+// the heap, filtering versions through the statement's snapshot. A
+// dangling entry (vacuum reclaimed the version under a buffered
+// iterator) is skipped, as is a reused slot holding a version the
+// snapshot cannot see — any such reuse happened after the snapshot, so
+// visibility filters it out. The B-tree iterator is created on the
+// first Range and re-targeted, buffers and all, by every later one.
 type btreeFetchIter struct {
-	it   *storage.Iterator
-	hi   []byte
-	heap *storage.Heap
-	snap *snapshot
-	prof *storage.WaitProf
+	bt     *storage.BTree
+	it     *storage.Iterator
+	heap   *storage.Heap
+	snap   *snapshot
+	prof   *storage.WaitProf
+	recBuf []byte // reused heap record buffer; decoded rows never alias it
+}
+
+// Range implements executor.IndexCursor.
+func (r *btreeFetchIter) Range(lo, hi []byte) {
+	if r.it == nil {
+		r.it = r.bt.Range(lo, hi, r.prof)
+		return
+	}
+	r.it.Reset(lo, hi)
 }
 
 func (r *btreeFetchIter) Next() (sqltypes.Row, bool, error) {
+	if r.it == nil {
+		return nil, false, nil
+	}
 	for r.it.Next() {
-		if bytes.Compare(r.it.Key(), r.hi) >= 0 {
-			return nil, false, nil
-		}
 		tid := tidFromBytes(r.it.Value())
-		rec, ok, err := r.heap.GetProf(tid, r.prof)
+		rec, ok, err := r.heap.GetInto(r.recBuf, tid, r.prof)
+		r.recBuf = rec
 		if err != nil {
 			return nil, false, err
 		}
@@ -504,36 +514,31 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 	return &morselSource{h: h, snap: s.snapshot(), prof: s.prof}, true, nil
 }
 
-// IndexRange implements executor.Storage.
-func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executor.RowIter, error) {
+// IndexProbe implements executor.Storage. The primary B-tree (index
+// "") is probed like any secondary index: both map keys to TIDs.
+func (s executorStorage) IndexProbe(table, index string) (executor.IndexCursor, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
 	}
-	ix := s.db.cat.Index(index)
-	if ix == nil {
-		return nil, fmt.Errorf("engine: unknown index %q", index)
+	var bt *storage.BTree
+	if index == "" {
+		if bt = h.primary; bt == nil {
+			return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
+		}
+	} else {
+		ix := s.db.cat.Index(index)
+		if ix == nil {
+			return nil, fmt.Errorf("engine: unknown index %q", index)
+		}
+		if ix.Virtual {
+			return nil, fmt.Errorf("engine: virtual index %s cannot be executed (what-if only)", index)
+		}
+		if bt = h.indexes[strings.ToLower(index)]; bt == nil {
+			return nil, fmt.Errorf("engine: index %s has no storage", index)
+		}
 	}
-	if ix.Virtual {
-		return nil, fmt.Errorf("engine: virtual index %s cannot be executed (what-if only)", index)
-	}
-	bt := h.indexes[strings.ToLower(index)]
-	if bt == nil {
-		return nil, fmt.Errorf("engine: index %s has no storage", index)
-	}
-	return &btreeFetchIter{it: bt.SeekProf(lo, s.prof), hi: hi, heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
-}
-
-// PrimaryRange implements executor.Storage.
-func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.RowIter, error) {
-	h := s.db.handle(table)
-	if h == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", table)
-	}
-	if h.primary == nil {
-		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
-	}
-	return &btreeFetchIter{it: h.primary.SeekProf(lo, s.prof), hi: hi, heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
+	return &btreeFetchIter{bt: bt, heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
 }
 
 // scanAll collects every committed-visible row of a table with its TID

@@ -25,12 +25,21 @@ type RowIter interface {
 type Storage interface {
 	// ScanTable iterates all rows of a base or virtual table.
 	ScanTable(name string) (RowIter, error)
-	// IndexRange yields base rows whose entry in the named secondary
-	// index falls in [lo, hi).
-	IndexRange(table, index string, lo, hi []byte) (RowIter, error)
-	// PrimaryRange yields rows of a BTREE-structured table whose
-	// primary key falls in [lo, hi).
-	PrimaryRange(table string, lo, hi []byte) (RowIter, error)
+	// IndexProbe opens a reusable cursor over one B-tree of a table:
+	// the named secondary index, or the table's primary B-tree when
+	// index is "". Everything a probe needs is resolved here, once per
+	// operator open.
+	IndexProbe(table, index string) (IndexCursor, error)
+}
+
+// IndexCursor yields the base rows whose index entry falls in the key
+// range last given to Range; it yields nothing before the first Range.
+// Range copies lo and hi, so callers may reuse their buffers, and it
+// may be called again at any point to start a new probe. Returned rows
+// stay valid after the next probe.
+type IndexCursor interface {
+	RowIter
+	Range(lo, hi []byte)
 }
 
 // Ctx carries per-execution state: bound parameters, the actual-CPU

@@ -32,34 +32,36 @@ func (m *memStorage) ScanTable(name string) (RowIter, error) {
 	return &SliceRowIter{Rows: rows}, nil
 }
 
-func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowIter, error) {
-	var out []sqltypes.Row
-	for _, row := range m.tables[idx.table] {
+// memCursor is memStorage's IndexCursor: each Range re-filters the
+// table through the index key.
+type memCursor struct {
+	m   *memStorage
+	idx memIndex
+	SliceRowIter
+}
+
+func (c *memCursor) Range(lo, hi []byte) {
+	c.Rows, c.pos = nil, 0
+	for _, row := range c.m.tables[c.idx.table] {
 		var key []byte
-		for _, c := range idx.cols {
-			key = sqltypes.EncodeKey(key, row[c])
+		for _, col := range c.idx.cols {
+			key = sqltypes.EncodeKey(key, row[col])
 		}
 		if bytes.Compare(key, lo) >= 0 && bytes.Compare(key, hi) < 0 {
-			out = append(out, row)
+			c.Rows = append(c.Rows, row)
 		}
 	}
-	return &SliceRowIter{Rows: out}, nil
 }
 
-func (m *memStorage) IndexRange(table, index string, lo, hi []byte) (RowIter, error) {
+func (m *memStorage) IndexProbe(table, index string) (IndexCursor, error) {
 	idx, ok := m.indexes[index]
-	if !ok {
-		return nil, fmt.Errorf("mem: no index %q", index)
+	if index == "" {
+		idx, ok = m.primary[table]
 	}
-	return m.rangeOver(idx, lo, hi)
-}
-
-func (m *memStorage) PrimaryRange(table string, lo, hi []byte) (RowIter, error) {
-	idx, ok := m.primary[table]
 	if !ok {
-		return nil, fmt.Errorf("mem: no primary on %q", table)
+		return nil, fmt.Errorf("mem: no index %q on %q", index, table)
 	}
-	return m.rangeOver(idx, lo, hi)
+	return &memCursor{m: m, idx: idx}, nil
 }
 
 func newMemStorage() *memStorage {

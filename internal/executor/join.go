@@ -278,8 +278,7 @@ func (it *loopJoinIter) Close() error { return it.left.Close() }
 type indexJoinC struct {
 	left     compiled
 	table    string
-	index    string
-	primary  bool
+	index    string          // "" for the primary B-tree
 	keys     []expr.Compiled // bound against left output
 	residual expr.Compiled   // bound against combined output
 }
@@ -289,7 +288,7 @@ func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compile
 	if err != nil {
 		return nil, err
 	}
-	c := &indexJoinC{left: left, table: n.Table, index: n.Index, primary: n.Primary}
+	c := &indexJoinC{left: left, table: n.Table, index: probeIndex(n.Index, n.Primary)}
 	lres := resolverFor(n.Left.Out())
 	for _, e := range n.LeftKeys {
 		ce, err := expr.Bind(e, lres)
@@ -309,23 +308,33 @@ func (c *indexJoinC) open(rt *runtime) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&indexJoinIter{c: c, rt: rt, left: lit, env: expr.Env{Params: rt.ctx.Params}})
+	inner, err := rt.st.IndexProbe(c.table, c.index)
+	if err != nil {
+		lit.Close()
+		return nil, err
+	}
+	out := RowIter(&indexJoinIter{c: c, rt: rt, left: lit, inner: inner, env: expr.Env{Params: rt.ctx.Params}})
 	return maybeFilter(out, c.residual, rt), nil
 }
 
+// indexJoinIter probes one reusable index cursor per outer row; the
+// probe key range is built into lo/hi, which live as long as the
+// operator.
 type indexJoinIter struct {
 	c       *indexJoinC
 	rt      *runtime
 	left    RowIter
 	env     expr.Env
 	current sqltypes.Row
-	inner   RowIter
+	inner   IndexCursor
+	probing bool // inner holds the current outer row's range
+	lo, hi  []byte
 	arena   RowArena
 }
 
 func (it *indexJoinIter) Next() (sqltypes.Row, bool, error) {
 	for {
-		if it.inner != nil {
+		if it.probing {
 			r, ok, err := it.inner.Next()
 			if err != nil {
 				return nil, false, err
@@ -334,8 +343,7 @@ func (it *indexJoinIter) Next() (sqltypes.Row, bool, error) {
 				it.rt.ctx.Tuples++
 				return it.arena.Combine(it.current, r), true, nil
 			}
-			it.inner.Close()
-			it.inner = nil
+			it.probing = false
 		}
 		row, ok, err := it.left.Next()
 		if err != nil || !ok {
@@ -344,29 +352,19 @@ func (it *indexJoinIter) Next() (sqltypes.Row, bool, error) {
 		it.rt.ctx.Tuples++
 		it.current = row
 		it.env.Row = row
-		lo, hi, ok, err := buildRange(&it.env, it.c.keys, nil, nil, false, false)
+		it.lo, it.hi, ok, err = buildRange(&it.env, it.c.keys, nil, nil, false, false, it.lo, it.hi)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			continue // NULL probe key: no matches
 		}
-		var inner RowIter
-		if it.c.primary {
-			inner, err = it.rt.st.PrimaryRange(it.c.table, lo, hi)
-		} else {
-			inner, err = it.rt.st.IndexRange(it.c.table, it.c.index, lo, hi)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		it.inner = inner
+		it.inner.Range(it.lo, it.hi)
+		it.probing = true
 	}
 }
 
 func (it *indexJoinIter) Close() error {
-	if it.inner != nil {
-		it.inner.Close()
-	}
+	it.inner.Close()
 	return it.left.Close()
 }

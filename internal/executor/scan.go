@@ -190,19 +190,27 @@ func (it *countingIter) Next() (sqltypes.Row, bool, error) {
 func (it *countingIter) Close() error { return it.in.Close() }
 
 type indexScanC struct {
-	table   string
-	index   string
-	primary bool
-	eq      []expr.Compiled
-	lo, hi  expr.Compiled
-	loIncl  bool
-	hiIncl  bool
-	filter  expr.Compiled
+	table  string
+	index  string // "" for the primary B-tree
+	eq     []expr.Compiled
+	lo, hi expr.Compiled
+	loIncl bool
+	hiIncl bool
+	filter expr.Compiled
+}
+
+// probeIndex names the B-tree an index access reads through
+// Storage.IndexProbe: the plan's index, or "" for the primary B-tree.
+func probeIndex(index string, primary bool) string {
+	if primary {
+		return ""
+	}
+	return index
 }
 
 func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
 	res := resolverFor(n.Cols)
-	c := &indexScanC{table: n.Table, index: n.Index, primary: n.Primary,
+	c := &indexScanC{table: n.Table, index: probeIndex(n.Index, n.Primary),
 		loIncl: n.LoIncl, hiIncl: n.HiIncl}
 	// Key expressions are constant (literals/params): bind with an
 	// empty row resolver.
@@ -228,22 +236,22 @@ func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
 }
 
 // buildRange computes the [lo, hi) key range for an equality prefix
-// plus optional range bounds. Returns ok=false when a probe value is
-// NULL (no row can match).
-func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loIncl, hiIncl bool) (lo, hi []byte, ok bool, err error) {
-	var prefix []byte
+// plus optional range bounds, appending to lo[:0] and hi[:0] so a
+// caller can keep their storage across probes. Returns ok=false when a
+// probe value is NULL (no row can match).
+func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loIncl, hiIncl bool, lo, hi []byte) ([]byte, []byte, bool, error) {
+	lo = lo[:0]
 	for _, ce := range eq {
 		v, err := ce.Eval(env)
 		if err != nil {
-			return nil, nil, false, err
+			return lo, hi, false, err
 		}
 		if v.IsNull() {
-			return nil, nil, false, nil
+			return lo, hi, false, nil
 		}
-		prefix = sqltypes.EncodeKey(prefix, v)
+		lo = sqltypes.EncodeKey(lo, v)
 	}
-	lo = append([]byte(nil), prefix...)
-	hi = append([]byte(nil), prefix...)
+	hi = append(hi[:0], lo...)
 	switch {
 	case loE == nil && hiE == nil:
 		hi = append(hi, 0xFF)
@@ -251,10 +259,10 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 		if loE != nil {
 			v, err := loE.Eval(env)
 			if err != nil {
-				return nil, nil, false, err
+				return lo, hi, false, err
 			}
 			if v.IsNull() {
-				return nil, nil, false, nil
+				return lo, hi, false, nil
 			}
 			lo = sqltypes.EncodeKey(lo, v)
 			if !loIncl {
@@ -264,10 +272,10 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 		if hiE != nil {
 			v, err := hiE.Eval(env)
 			if err != nil {
-				return nil, nil, false, err
+				return lo, hi, false, err
 			}
 			if v.IsNull() {
-				return nil, nil, false, nil
+				return lo, hi, false, nil
 			}
 			hi = sqltypes.EncodeKey(hi, v)
 			if hiIncl {
@@ -282,22 +290,18 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 
 func (c *indexScanC) open(rt *runtime) (RowIter, error) {
 	env := expr.Env{Params: rt.ctx.Params}
-	lo, hi, ok, err := buildRange(&env, c.eq, c.lo, c.hi, c.loIncl, c.hiIncl)
+	lo, hi, ok, err := buildRange(&env, c.eq, c.lo, c.hi, c.loIncl, c.hiIncl, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return &SliceRowIter{}, nil
 	}
-	var it RowIter
-	if c.primary {
-		it, err = rt.st.PrimaryRange(c.table, lo, hi)
-	} else {
-		it, err = rt.st.IndexRange(c.table, c.index, lo, hi)
-	}
+	it, err := rt.st.IndexProbe(c.table, c.index)
 	if err != nil {
 		return nil, err
 	}
+	it.Range(lo, hi)
 	if c.filter == nil {
 		return &countingIter{in: it, ctx: rt.ctx}, nil
 	}

@@ -77,7 +77,8 @@ const benchTrajectoryRows = 20000
 
 // RunBenchTrajectory builds the scan fixture once and measures the
 // trajectory benchmarks: the morsel scaling curve (1, 4, 8 workers
-// over one session) and point selects under a concurrent updater (the
+// over one session), the index probe layer (isolated point selects and
+// index-join probes) and point selects under a concurrent updater (the
 // MVCC fast path). Results carry the same semantics as `go test
 // -bench`: NsPerOp is wall time per executed statement.
 func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
@@ -162,6 +163,9 @@ func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
 		})
 	}
 
+	record("PointSelect", BenchPointSelect(db))
+	record("IndexJoinProbe", BenchIndexJoinProbe(db))
+
 	record("PointSelectUnderUpdates", func(b *testing.B) {
 		stop := make(chan struct{})
 		done := make(chan struct{})
@@ -202,4 +206,75 @@ func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
 		return nil, benchErr
 	}
 	return report, nil
+}
+
+// probeRows is the outer side of BenchIndexJoinProbe: every row of the
+// probes table probes the scanrows primary-key index once.
+const probeRows = 256
+
+// BenchPointSelect measures an isolated primary-key point select on
+// the scanrows fixture, with no concurrent writer: parse, plan-cache
+// hit and one index probe. db must hold scanrows with at least
+// benchTrajectoryRows rows.
+func BenchPointSelect(db *engine.DB) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := db.NewSession()
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Exec(fmt.Sprintf("SELECT a, f FROM scanrows WHERE id = %d", i*7919%benchTrajectoryRows))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				b.Fatalf("rows = %d", len(res.Rows))
+			}
+		}
+	}
+}
+
+// BenchIndexJoinProbe measures index nested-loop join probes into the
+// scanrows primary-key index. One op is one probe: each statement
+// joins the probeRows rows of a probes table, which the first run adds
+// next to scanrows, and the plan must be an index join.
+func BenchIndexJoinProbe(db *engine.DB) func(b *testing.B) {
+	// The equality on g keeps the outer estimate small, so the
+	// optimizer probes the index instead of hashing scanrows.
+	const q = "SELECT p.id, s.a FROM probes p, scanrows s WHERE p.k = s.id AND p.g = 0"
+	return func(b *testing.B) {
+		s := db.NewSession()
+		defer s.Close()
+		if db.Catalog().Table("probes") == nil {
+			rows := make([]sqltypes.Row, probeRows)
+			for i := range rows {
+				rows[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(0),
+					sqltypes.NewInt(int64(i * 7919 % benchTrajectoryRows))}
+			}
+			if _, err := s.Exec("CREATE TABLE probes (id INTEGER PRIMARY KEY, g INTEGER, k INTEGER)"); err != nil {
+				b.Fatal(err)
+			}
+			if err := db.BulkInsert("probes", rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		plan, err := s.Exec("EXPLAIN " + q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !strings.Contains(fmt.Sprint(plan.Rows), "IndexJoin scanrows") {
+			b.Fatalf("not an index join: %v", plan.Rows)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += probeRows {
+			res, err := s.Exec(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != probeRows {
+				b.Fatalf("rows = %d", len(res.Rows))
+			}
+		}
+	}
 }

@@ -585,46 +585,64 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 	}
 }
 
-// Iterator walks leaf entries in key order. It is key-stable under
-// concurrent writers: instead of remembering a (page, index) position —
-// which splits and deletions would silently shift — it buffers the
-// remainder of one leaf per refill (copied into a reused arena under
-// the tree's read latch) and re-seeks from the root for the successor
-// of the last served key when the buffer drains. Between refills it
-// holds no latch and no pins, so an iterator abandoned mid-scan cannot
-// block writers.
+// Iterator walks the leaf entries of one key range [start, end) in key
+// order. It is key-stable under concurrent writers: instead of
+// remembering a (page, index) position — which splits and deletions
+// would silently shift — each refill re-seeks from the root, under the
+// tree's read latch, for the successor of the last served key and
+// copies the entries of that leaf that fall inside the range into a
+// reused arena. Between refills it holds no latch and no pins, so an
+// iterator abandoned mid-scan cannot block writers. A refill stops
+// copying at the first key >= end; once it has seen end, the iterator
+// neither refills again nor follows the right sibling, so a bounded
+// probe costs one descent plus the entries inside its range.
 type Iterator struct {
-	t      *BTree
-	prof   *WaitProf // wait attribution for flagged statements; usually nil
-	err    error
-	done   bool
-	primed bool   // first refill happened; lastKey is the resume point
-	start  []byte // original seek target
-	last   []byte // last key served (resume at its successor)
-	target []byte // reused successor buffer
-	arena  []byte // backing bytes of the buffered entries
-	ents   []btEntSpan
-	pos    int
-	key    []byte
-	val    []byte
+	t       *BTree
+	prof    *WaitProf // wait attribution for flagged statements; usually nil
+	err     error
+	done    bool
+	primed  bool   // first refill happened; the last buffered key is the resume point
+	final   bool   // the buffer reaches end: no refill after it drains
+	bounded bool   // end applies (end may be empty but non-nil)
+	start   []byte // range start (owned copy)
+	end     []byte // exclusive range end (owned copy)
+	target  []byte // reused successor buffer
+	arena   []byte // backing bytes of the buffered entries
+	ents    []btEntSpan
+	pos     int
+	key     []byte
+	val     []byte
 }
 
 // btEntSpan locates one buffered entry inside the iterator arena.
 type btEntSpan struct{ koff, kend, vend int }
 
-// Seek positions an iterator at the first entry with key >= start (or
-// the first entry overall if start is nil). The descent is deferred to
-// the first Next call.
-func (t *BTree) Seek(start []byte) *Iterator { return t.SeekProf(start, nil) }
-
-// SeekProf is Seek with a wait profiler attached to every refill
-// descent of the resulting iterator.
-func (t *BTree) SeekProf(start []byte, prof *WaitProf) *Iterator {
+// Range returns an iterator over the entries with start <= key < end. A
+// nil start begins at the first entry; a nil end leaves the range
+// unbounded above. prof, usually nil, receives the wait attribution of
+// every refill descent. The descent is deferred to the first Next call.
+func (t *BTree) Range(start, end []byte, prof *WaitProf) *Iterator {
 	it := &Iterator{t: t, prof: prof}
-	if start != nil {
-		it.start = append([]byte(nil), start...)
-	}
+	it.Reset(start, end)
 	return it
+}
+
+// Reset re-targets the iterator at [start, end) with the same meaning
+// as Range, reusing its arena, entry and key buffers. start and end are
+// copied, so the caller may reuse them. Key and Value results of the
+// previous range become invalid.
+func (it *Iterator) Reset(start, end []byte) {
+	it.start = append(it.start[:0], start...)
+	it.end = append(it.end[:0], end...)
+	it.bounded = end != nil
+	it.err = nil
+	it.primed, it.final = false, false
+	it.arena = it.arena[:0]
+	it.ents = it.ents[:0]
+	it.pos = 0
+	it.key, it.val = nil, nil
+	// An empty range needs no descent.
+	it.done = it.bounded && bytes.Compare(it.start, it.end) >= 0
 }
 
 // Next advances the iterator, reporting whether an entry is available
@@ -633,42 +651,44 @@ func (it *Iterator) Next() bool {
 	if it.done {
 		return false
 	}
-	if it.pos >= len(it.ents) && !it.refill() {
+	if it.pos >= len(it.ents) && (it.final || !it.refill()) {
+		it.done = true
 		return false
 	}
 	e := it.ents[it.pos]
 	it.pos++
 	it.key = it.arena[e.koff:e.kend]
 	it.val = it.arena[e.kend:e.vend]
-	it.last = append(it.last[:0], it.key...)
 	return true
 }
 
 // refill re-seeks from the root under the read latch and buffers the
-// rest of the leaf holding the resume key (following right siblings
-// while empty). Returns false at the end of the tree or on error.
+// in-range entries of the leaf holding the resume key, following right
+// siblings only while nothing was buffered and end was not reached.
+// Returns false when the range is exhausted or on error.
 func (it *Iterator) refill() bool {
-	it.arena = it.arena[:0]
-	it.ents = it.ents[:0]
-	it.pos = 0
 	target := it.start
 	if it.primed {
 		// Successor of the last served key: last || 0x00 is the
-		// smallest byte string strictly greater than last.
-		it.target = append(it.target[:0], it.last...)
+		// smallest byte string strictly greater than last. The last
+		// served key is the final buffered one, still in the arena.
+		e := it.ents[len(it.ents)-1]
+		it.target = append(it.target[:0], it.arena[e.koff:e.kend]...)
 		it.target = append(it.target, 0)
 		target = it.target
 	}
 	it.primed = true
+	it.arena = it.arena[:0]
+	it.ents = it.ents[:0]
+	it.pos = 0
 
 	it.t.mu.RLock()
 	defer it.t.mu.RUnlock()
+	var p Page // one reused pin handle: a descent allocates nothing
 	page := it.t.root
 	for {
-		p, err := it.t.file.GetPageProf(page, it.prof)
-		if err != nil {
+		if err := it.t.file.PinPageProf(page, &p, it.prof); err != nil {
 			it.err = err
-			it.done = true
 			return false
 		}
 		d := p.Data
@@ -676,8 +696,13 @@ func (it *Iterator) refill() bool {
 			for {
 				i, _ := btSearch(d, target)
 				for n := btCount(d); i < n; i++ {
+					k := btKey(d, i)
+					if it.bounded && bytes.Compare(k, it.end) >= 0 {
+						it.final = true
+						break
+					}
 					koff := len(it.arena)
-					it.arena = append(it.arena, btKey(d, i)...)
+					it.arena = append(it.arena, k...)
 					kend := len(it.arena)
 					it.arena = append(it.arena, btVal(d, i)...)
 					it.ents = append(it.ents, btEntSpan{koff, kend, len(it.arena)})
@@ -687,14 +712,11 @@ func (it *Iterator) refill() bool {
 				if len(it.ents) > 0 {
 					return true
 				}
-				if next == 0 {
-					it.done = true
+				if it.final || next == 0 {
 					return false
 				}
-				p, err = it.t.file.GetPageProf(next, it.prof)
-				if err != nil {
+				if err := it.t.file.PinPageProf(next, &p, it.prof); err != nil {
 					it.err = err
-					it.done = true
 					return false
 				}
 				d = p.Data

@@ -104,7 +104,7 @@ func TestBTreeIteratorFullScan(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	it := bt.Seek(nil)
+	it := bt.Range(nil, nil, nil)
 	i := 0
 	for it.Next() {
 		if string(it.Key()) != keys[i] {
@@ -125,17 +125,17 @@ func TestBTreeSeekRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		bt.Put([]byte(fmt.Sprintf("k%03d", i*2)), []byte("v")) // even keys
 	}
-	it := bt.Seek([]byte("k101")) // between k100 and k102
+	it := bt.Range([]byte("k101"), nil, nil) // between k100 and k102
 	if !it.Next() {
 		t.Fatal("expected an entry")
 	}
 	if string(it.Key()) != "k102" {
-		t.Fatalf("Seek landed on %q, want k102", it.Key())
+		t.Fatalf("Range landed on %q, want k102", it.Key())
 	}
-	// Seek past the end.
-	it = bt.Seek([]byte("z"))
+	// Start past the end.
+	it = bt.Range([]byte("z"), nil, nil)
 	if it.Next() {
-		t.Fatalf("Seek(z) yielded %q", it.Key())
+		t.Fatalf("Range(z) yielded %q", it.Key())
 	}
 }
 
@@ -246,7 +246,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	it := bt.Seek(nil)
+	it := bt.Range(nil, nil, nil)
 	i := 0
 	for it.Next() {
 		if i >= len(keys) {

@@ -245,33 +245,32 @@ func insertIntoPage(p *Page, pageNo uint32, rec []byte) (TID, error) {
 
 // Get returns the record stored at tid, or ok=false if it was deleted.
 func (h *Heap) Get(tid TID) (rec []byte, ok bool, err error) {
-	return h.GetProf(tid, nil)
+	return h.GetInto(nil, tid, nil)
 }
 
-// GetProf is Get with an explicit wait profiler for phase-2 flagged
-// statements (index fetch paths run under shared locks, so the
-// profiler is threaded per call rather than per file).
-func (h *Heap) GetProf(tid TID, prof *WaitProf) (rec []byte, ok bool, err error) {
+// GetInto is Get copying the record into dst[:0], so a caller fetching
+// many records reuses one buffer. prof attributes the page wait of a
+// phase-2 flagged statement (index fetch paths run under shared locks,
+// so the profiler is threaded per call rather than per file).
+func (h *Heap) GetInto(dst []byte, tid TID, prof *WaitProf) (rec []byte, ok bool, err error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if tid.Page() >= h.file.Pages() {
-		return nil, false, fmt.Errorf("storage: TID %s past end of heap", tid)
+		return dst[:0], false, fmt.Errorf("storage: TID %s past end of heap", tid)
 	}
-	p, err := h.file.GetPageProf(tid.Page(), prof)
-	if err != nil {
-		return nil, false, err
+	var p Page
+	if err := h.file.PinPageProf(tid.Page(), &p, prof); err != nil {
+		return dst[:0], false, err
 	}
 	defer p.Release()
 	if int(tid.Slot()) >= pageSlotCount(p.Data) {
-		return nil, false, fmt.Errorf("storage: TID %s slot out of range", tid)
+		return dst[:0], false, fmt.Errorf("storage: TID %s slot out of range", tid)
 	}
 	off, length := slotEntry(p.Data, int(tid.Slot()))
 	if off == deadSlot {
-		return nil, false, nil
+		return dst[:0], false, nil
 	}
-	out := make([]byte, length)
-	copy(out, p.Data[off:off+length])
-	return out, true, nil
+	return append(dst[:0], p.Data[off:off+length]...), true, nil
 }
 
 // Delete removes the record at tid. Space is not reclaimed until the
@@ -488,7 +487,7 @@ const maxBatchPins = 16
 type HeapBatchIter struct {
 	h       *Heap
 	page    uint32
-	bound   uint32 // exclusive page bound for morsel scans; 0 = whole heap
+	bound   uint32             // exclusive page bound for morsel scans; 0 = whole heap
 	pins    [maxBatchPins]Page // frames backing the current batch
 	npins   int
 	err     error

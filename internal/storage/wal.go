@@ -67,7 +67,7 @@ const (
 	walFrameSize  = 8
 	walBodyFixed  = 17
 	walMaxBody    = walBodyFixed + 2 + 255 + 4 + 8 + PageSize // image record upper bound
-	walCompactMin = 1 << 20 // compact the log at checkpoint once it exceeds this
+	walCompactMin = 1 << 20                                   // compact the log at checkpoint once it exceeds this
 )
 
 // WALFile is the seam between the WAL and the OS file. Production code
@@ -144,7 +144,7 @@ type WAL struct {
 	cond    *sync.Cond
 	buf     []byte
 	spare   []byte
-	bufEnd  uint64            // LSN of the last staged record
+	bufEnd  uint64 // LSN of the last staged record
 	nextLSN uint64
 	nextTxn uint64
 	active  map[uint64]uint64 // txn id -> first LSN (for fuzzy checkpoint scan start)
@@ -221,15 +221,15 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{
-		path:     path,
-		openFile: open,
-		nextLSN:  next,
-		active:   make(map[uint64]uint64),
-		f:        f,
+		path:      path,
+		openFile:  open,
+		nextLSN:   next,
+		active:    make(map[uint64]uint64),
+		f:         f,
 		fileBytes: validLen,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+		stopped:   make(chan struct{}),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.bufEnd = next - 1

@@ -15,11 +15,11 @@ import (
 
 // File wraps an *os.File as a storage.WALFile with injectable faults.
 type File struct {
-	mu      sync.Mutex
-	f       *os.File
-	written int64 // bytes accepted so far (including dropped ones)
-	limit   int64 // -1: no limit; else drop bytes past this offset
-	torn    bool  // replace the cut with garbage instead of a clean stop
+	mu       sync.Mutex
+	f        *os.File
+	written  int64 // bytes accepted so far (including dropped ones)
+	limit    int64 // -1: no limit; else drop bytes past this offset
+	torn     bool  // replace the cut with garbage instead of a clean stop
 	failSync error
 	syncs    int64
 	rng      *rand.Rand
