@@ -479,7 +479,7 @@ func BenchmarkParseNormalized(b *testing.B) {
 
 func nowNano() int64 { return time.Now().UnixNano() }
 
-// --- Vectorized execution: batch vs row pipeline ---------------------
+// --- Batch pipeline: scan-aggregates, probes, heap scans ---------------
 
 const scanAggRows = 20000
 
@@ -530,27 +530,10 @@ func scanAggInstance(b *testing.B) *engine.DB {
 	return scanAggDB
 }
 
-// benchScanAgg runs a scan+filter+aggregate statement — the query
-// shape the vectorized pipeline targets — in the given execution mode.
-// EXPERIMENTS.md records the row/batch before/after numbers.
-func benchScanAgg(b *testing.B, batch bool) {
-	db := scanAggInstance(b)
-	s := db.NewSession()
-	defer s.Close()
-	s.SetBatchExec(batch)
-	const q = "SELECT grp, COUNT(*), SUM(f) FROM scanrows WHERE a < 300 GROUP BY grp"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Exec(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 16 {
-			b.Fatalf("groups = %d", len(res.Rows))
-		}
-	}
-}
+// BenchmarkScanAgg runs a scan+filter+aggregate statement — the query
+// shape the batch pipeline targets — on one session at its default
+// parallel degree. The bench trajectory records it as ScanAgg.
+func BenchmarkScanAgg(b *testing.B) { experiments.BenchScanAgg(scanAggInstance(b), 0)(b) }
 
 // BenchmarkPointSelect and BenchmarkIndexJoinProbe measure the index
 // probe layer on the scanrows instance: an isolated primary-key point
@@ -559,15 +542,13 @@ func benchScanAgg(b *testing.B, batch bool) {
 func BenchmarkPointSelect(b *testing.B)    { experiments.BenchPointSelect(scanAggInstance(b))(b) }
 func BenchmarkIndexJoinProbe(b *testing.B) { experiments.BenchIndexJoinProbe(scanAggInstance(b))(b) }
 
-func BenchmarkScanAgg_Row(b *testing.B)   { benchScanAgg(b, false) }
-func BenchmarkScanAgg_Batch(b *testing.B) { benchScanAgg(b, true) }
-
-// benchScanAggParallel runs the same scan+filter+aggregate statement
-// from 8 concurrent sessions over a warm pool. Every batch step holds
-// up to 16 page pins, so this is the workload the sharded buffer pool
-// exists for: under the single global pool mutex all sessions
-// serialize on every pin/unpin. EXPERIMENTS.md records before/after.
-func benchScanAggParallel(b *testing.B, batch bool) {
+// BenchmarkScanAggParallel8 runs the same scan+filter+aggregate
+// statement from 8 concurrent sessions over a warm pool: every page
+// visit pins and unpins a frame, so this is the workload the sharded
+// buffer pool exists for — under one global pool mutex all sessions
+// would serialize on every pin/unpin. EXPERIMENTS.md records
+// before/after.
+func BenchmarkScanAggParallel8(b *testing.B) {
 	const goroutines = 8
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
@@ -578,7 +559,6 @@ func benchScanAggParallel(b *testing.B, batch bool) {
 	b.RunParallel(func(pb *testing.PB) {
 		s := db.NewSession()
 		defer s.Close()
-		s.SetBatchExec(batch)
 		for pb.Next() {
 			res, err := s.Exec(q)
 			if err != nil {
@@ -591,13 +571,10 @@ func benchScanAggParallel(b *testing.B, batch bool) {
 	})
 }
 
-func BenchmarkScanAggParallel8_Row(b *testing.B)   { benchScanAggParallel(b, false) }
-func BenchmarkScanAggParallel8_Batch(b *testing.B) { benchScanAggParallel(b, true) }
-
 // benchScanAggMorsel runs the same statement on a single session with
 // n-way intra-query morsel parallelism: one query, n workers pulling
 // 64-page morsels from a shared dispenser. Contrast with
-// benchScanAggParallel, which measures inter-query parallelism.
+// BenchmarkScanAggParallel8, which measures inter-query parallelism.
 // EXPERIMENTS.md records the scaling curve; the bench trajectory file
 // (benchrunner -bench-out) tracks it across PRs.
 func benchScanAggMorsel(b *testing.B, workers int) {
@@ -605,32 +582,17 @@ func benchScanAggMorsel(b *testing.B, workers int) {
 		runtime.GOMAXPROCS(workers)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	db := scanAggInstance(b)
-	s := db.NewSession()
-	defer s.Close()
-	s.SetParallel(workers)
-	const q = "SELECT grp, COUNT(*), SUM(f) FROM scanrows WHERE a < 300 GROUP BY grp"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Exec(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 16 {
-			b.Fatalf("groups = %d", len(res.Rows))
-		}
-	}
+	experiments.BenchScanAgg(scanAggInstance(b), workers)(b)
 }
 
 func BenchmarkScanAggMorsel1(b *testing.B) { benchScanAggMorsel(b, 1) }
 func BenchmarkScanAggMorsel4(b *testing.B) { benchScanAggMorsel(b, 4) }
 func BenchmarkScanAggMorsel8(b *testing.B) { benchScanAggMorsel(b, 8) }
 
-// BenchmarkBatchScan measures the storage-layer batch scan in
-// isolation: page-at-a-time pinning into a reused record batch. The
-// inner loop must stay allocation-free (TestScanBatchAllocs pins the
-// invariant; this reports the amortized per-scan numbers).
+// BenchmarkBatchScan measures the storage-layer heap scan in
+// isolation, as the bench trajectory's BatchScan does: one ScanPage
+// visit per page. The visitor must stay allocation-free
+// (TestScanBatchAllocs pins the invariant).
 func BenchmarkBatchScan(b *testing.B) {
 	pool := storage.NewPool(4096)
 	f := benchFile(b, pool)
@@ -642,26 +604,7 @@ func BenchmarkBatchScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var rb storage.RecBatch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := h.ScanBatch()
-		rows := 0
-		for {
-			ok, err := it.NextBatchMax(&rb, 1024)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			rows += rb.Len()
-		}
-		if rows != scanAggRows {
-			b.Fatalf("scanned %d rows", rows)
-		}
-	}
+	experiments.BenchBatchScan(h, scanAggRows)(b)
 }
 
 // --- Ablations: design choices called out in DESIGN.md ----------------

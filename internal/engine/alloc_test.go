@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestScanAllocsPerRow pins the row-path allocation fix: projection
-// rows are carved from a RowArena (one allocation per chunk), heap
-// row decoding reuses a scratch slice, and DISTINCT key probes reuse
-// an encode buffer. End to end, a 2000-row projection scan over an
+// TestScanAllocsPerRow pins the scan pipeline's allocation profile:
+// heap rows are decoded into a reused arena, projections write output
+// rows into a reused backing, and DISTINCT key probes reuse an encode
+// buffer. End to end, a 2000-row projection scan over an
 // integer-only table must stay well under one allocation per row — a
 // regression to per-row make() anywhere on the path trips the bound
 // immediately. (VARCHAR columns are excluded deliberately: decoding a

@@ -7,29 +7,91 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sqltypes"
 )
 
-// Snapshot-isolation semantics suite. Every read-visibility scenario
-// runs twice — once through the Volcano row executor and once through
-// the vectorized batch executor — because visibility is enforced
-// independently in both scan paths (per-row check vs per-batch
-// selection vector).
+// Snapshot-isolation semantics suite: repeatable reads, no dirty
+// reads, first-updater-wins, the documented write-skew anomaly,
+// rollback invisibility and a conserved-sum storm.
+//
+// Every read-visibility scenario runs once per read path, because each
+// path checks version visibility on its own: "row" reads each key
+// through the primary-key index cursor, one row version at a time;
+// "batch" reads through the heap page scan, which checks one page's
+// records into a batch. Each scenario's table carries fillerRows
+// committed rows (ids from fillerBase, v = 0) so that a key lookup
+// takes the index; every read asserts the access path it took.
 
-// inBothExecModes runs the scenario with the *reading* session in row
-// mode and again in batch mode.
-func inBothExecModes(t *testing.T, fn func(t *testing.T, batch bool)) {
-	t.Run("row", func(t *testing.T) { fn(t, false) })
-	t.Run("batch", func(t *testing.T) { fn(t, true) })
+const fillerBase, fillerRows = 1000, 400
+
+// readPath returns the visible (id, v) rows of table with id <
+// fillerBase, in id order. keys lists every id a scenario may hold.
+type readPath func(t *testing.T, s *Session, table string, keys ...int64) []sqltypes.Row
+
+func inBothReadPaths(t *testing.T, fn func(t *testing.T, read readPath)) {
+	t.Run("row", func(t *testing.T) { fn(t, readByKey) })
+	t.Run("batch", func(t *testing.T) { fn(t, readByScan) })
+}
+
+// readByKey reads each key with a point select that runs as an
+// IndexScan.
+func readByKey(t *testing.T, s *Session, table string, keys ...int64) []sqltypes.Row {
+	t.Helper()
+	var rows []sqltypes.Row
+	for _, k := range keys {
+		q := fmt.Sprintf("SELECT id, v FROM %s WHERE id = %d", table, k)
+		mustTakePath(t, s, q, "IndexScan")
+		rows = append(rows, mustExec(t, s, q).Rows...)
+	}
+	return rows
+}
+
+// readByScan reads the scenario's rows with one SeqScan.
+func readByScan(t *testing.T, s *Session, table string, _ ...int64) []sqltypes.Row {
+	t.Helper()
+	q := fmt.Sprintf("SELECT id, v FROM %s WHERE id < %d ORDER BY id", table, fillerBase)
+	mustTakePath(t, s, q, "SeqScan")
+	return mustExec(t, s, q).Rows
+}
+
+func mustTakePath(t *testing.T, s *Session, q, op string) {
+	t.Helper()
+	if plan := planText(mustExec(t, s, "EXPLAIN "+q)); !strings.Contains(plan, op+" ") {
+		t.Fatalf("%s: plan does not use %s:\n%s", q, op, plan)
+	}
+}
+
+// addFiller inserts the filler rows into table.
+func addFiller(t *testing.T, s *Session, table string) {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "INSERT INTO %s VALUES ", table)
+	for i := 0; i < fillerRows; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, 0)", fillerBase+i)
+	}
+	mustExec(t, s, b.String())
+}
+
+func sumV(rows []sqltypes.Row) int64 {
+	var sum int64
+	for _, r := range rows {
+		sum += r[1].I
+	}
+	return sum
 }
 
 func TestNestedBeginErrors(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
+	inBothReadPaths(t, func(t *testing.T, read readPath) {
 		db := testDB(t)
 		s := db.NewSession()
 		defer s.Close()
-		s.SetBatchExec(batch)
 		mustExec(t, s, "CREATE TABLE nb (id INTEGER PRIMARY KEY, v INTEGER)")
 		mustExec(t, s, "INSERT INTO nb VALUES (1, 10)")
+		addFiller(t, s, "nb")
 
 		if err := s.Begin(); err != nil {
 			t.Fatal(err)
@@ -45,20 +107,21 @@ func TestNestedBeginErrors(t *testing.T) {
 		if err := s.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		res := mustExec(t, s, "SELECT v FROM nb WHERE id = 1")
-		if len(res.Rows) != 1 || res.Rows[0][0].I != 12 {
-			t.Fatalf("after commit: %v, want v=12", res.Rows)
+		rows := read(t, s, "nb", 1)
+		if len(rows) != 1 || rows[0][1].I != 12 {
+			t.Fatalf("after commit: %v, want v=12", rows)
 		}
 	})
 }
 
 func TestNoDirtyReads(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
+	inBothReadPaths(t, func(t *testing.T, read readPath) {
 		db := testDB(t)
 		w := db.NewSession()
 		defer w.Close()
 		mustExec(t, w, "CREATE TABLE dr (id INTEGER PRIMARY KEY, v INTEGER)")
 		mustExec(t, w, "INSERT INTO dr VALUES (1, 100)")
+		addFiller(t, w, "dr")
 
 		if err := w.Begin(); err != nil {
 			t.Fatal(err)
@@ -68,37 +131,36 @@ func TestNoDirtyReads(t *testing.T) {
 
 		r := db.NewSession()
 		defer r.Close()
-		r.SetBatchExec(batch)
-		res := mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
-		if len(res.Rows) != 1 || res.Rows[0][1].I != 100 {
-			t.Fatalf("reader saw uncommitted writes: %v", res.Rows)
+		rows := read(t, r, "dr", 1, 2)
+		if len(rows) != 1 || rows[0][1].I != 100 {
+			t.Fatalf("reader saw uncommitted writes: %v", rows)
 		}
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		res = mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
-		if len(res.Rows) != 2 || res.Rows[0][1].I != 999 {
-			t.Fatalf("after commit reader saw %v", res.Rows)
+		rows = read(t, r, "dr", 1, 2)
+		if len(rows) != 2 || rows[0][1].I != 999 {
+			t.Fatalf("after commit reader saw %v", rows)
 		}
 	})
 }
 
 func TestRepeatableReads(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
+	inBothReadPaths(t, func(t *testing.T, read readPath) {
 		db := testDB(t)
 		setup := db.NewSession()
 		mustExec(t, setup, "CREATE TABLE rr (id INTEGER PRIMARY KEY, v INTEGER)")
 		mustExec(t, setup, "INSERT INTO rr VALUES (1, 1), (2, 2)")
+		addFiller(t, setup, "rr")
 		setup.Close()
 
 		r := db.NewSession()
 		defer r.Close()
-		r.SetBatchExec(batch)
 		if err := r.Begin(); err != nil {
 			t.Fatal(err)
 		}
 		// First statement captures the snapshot.
-		first := mustExec(t, r, "SELECT SUM(v) FROM rr")
+		first := sumV(read(t, r, "rr", 1, 2, 3))
 
 		// A concurrent transaction commits an update, a delete and an
 		// insert. None of it may leak into the open snapshot.
@@ -108,18 +170,16 @@ func TestRepeatableReads(t *testing.T) {
 		mustExec(t, w, "INSERT INTO rr VALUES (3, 1000)")
 		w.Close()
 
-		again := mustExec(t, r, "SELECT SUM(v) FROM rr")
-		if first.Rows[0][0].I != 3 || again.Rows[0][0].I != 3 {
-			t.Fatalf("repeatable read violated: first=%v again=%v, want 3",
-				first.Rows[0][0], again.Rows[0][0])
+		again := sumV(read(t, r, "rr", 1, 2, 3))
+		if first != 3 || again != 3 {
+			t.Fatalf("repeatable read violated: first=%d again=%d, want 3", first, again)
 		}
 		if err := r.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		// A fresh snapshot sees the committed state: v=100 + v=1000.
-		fresh := mustExec(t, r, "SELECT SUM(v) FROM rr")
-		if fresh.Rows[0][0].I != 1100 {
-			t.Fatalf("post-commit read = %v, want 1100", fresh.Rows[0][0])
+		if fresh := sumV(read(t, r, "rr", 1, 2, 3)); fresh != 1100 {
+			t.Fatalf("post-commit read = %d, want 1100", fresh)
 		}
 	})
 }
@@ -209,13 +269,13 @@ func TestWriteSkewAnomaly(t *testing.T) {
 }
 
 func TestRollbackLeavesNoTrace(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
+	inBothReadPaths(t, func(t *testing.T, read readPath) {
 		db := testDB(t)
 		s := db.NewSession()
 		defer s.Close()
-		s.SetBatchExec(batch)
 		mustExec(t, s, "CREATE TABLE rb (id INTEGER PRIMARY KEY, v INTEGER)")
 		mustExec(t, s, "INSERT INTO rb VALUES (1, 1)")
+		addFiller(t, s, "rb")
 
 		if err := s.Begin(); err != nil {
 			t.Fatal(err)
@@ -225,9 +285,9 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 		mustExec(t, s, "DELETE FROM rb WHERE id = 1")
 		s.Rollback()
 
-		res := mustExec(t, s, "SELECT id, v FROM rb ORDER BY id")
-		if len(res.Rows) != 1 || res.Rows[0][0].I != 1 || res.Rows[0][1].I != 1 {
-			t.Fatalf("after rollback: %v, want the original (1,1)", res.Rows)
+		rows := read(t, s, "rb", 1, 2)
+		if len(rows) != 1 || rows[0][0].I != 1 || rows[0][1].I != 1 {
+			t.Fatalf("after rollback: %v, want the original (1,1)", rows)
 		}
 		if db.MvccStats().TxnAborts == 0 {
 			t.Error("TxnAborts counter not bumped")
@@ -292,15 +352,13 @@ func TestMvccStorm(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: every snapshot must see the conserved total, in both
-	// executor modes.
+	// Readers: every snapshot must see the conserved total.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			s := db.NewSession()
 			defer s.Close()
-			s.SetBatchExec(r%2 == 0)
 			for {
 				select {
 				case <-stop:
@@ -317,7 +375,7 @@ func TestMvccStorm(t *testing.T) {
 					return
 				}
 			}
-		}(r)
+		}()
 	}
 	// Vacuum races the whole thing.
 	wg.Add(1)

@@ -359,8 +359,11 @@ func TestSetParallelStatement(t *testing.T) {
 	if got := s.Parallel(); got != maxSessionParallel {
 		t.Fatalf("Parallel() = %d after SET PARALLEL 1000, want clamp to %d", got, maxSessionParallel)
 	}
-	if _, err := s.Exec("SET NO_SUCH_KNOB 3"); err == nil {
-		t.Fatal("SET NO_SUCH_KNOB should error")
+	// batch_exec selected the retired row-at-a-time executor.
+	for _, knob := range []string{"NO_SUCH_KNOB", "batch_exec"} {
+		if _, err := s.Exec("SET " + knob + " 0"); err == nil || !strings.Contains(err.Error(), "unknown SET option") {
+			t.Fatalf("SET %s: err = %v, want unknown SET option", knob, err)
+		}
 	}
 }
 

@@ -63,11 +63,6 @@ type Session struct {
 	// transactions, so transaction atomicity comes from the MVCC commit
 	// record (WALTxnCommit), not from WAL scoping.
 	wtx *storage.WalTxn
-	// batchExec selects the vectorized batch pipeline for SELECTs
-	// (default). The row-at-a-time path is kept for comparison and as
-	// the reference semantics; both produce identical results, tuple
-	// counts and trace counts.
-	batchExec bool
 	// prof is the wait profiler of the currently executing statement,
 	// non-nil only while a phase-2 flagged statement runs (Exec sets
 	// and clears it; sessions execute one statement at a time).
@@ -77,10 +72,6 @@ type Session struct {
 	// SET PARALLEL n or SetParallel. 1 keeps execution serial.
 	parallel int
 }
-
-// SetBatchExec switches the session between the vectorized batch
-// execution pipeline (the default) and the row-at-a-time pipeline.
-func (s *Session) SetBatchExec(on bool) { s.batchExec = on }
 
 // maxSessionParallel caps SET PARALLEL; the executor enforces the same
 // bound on its worker pool.
@@ -248,11 +239,11 @@ func (db *DB) NewSession() *Session {
 			break
 		}
 	}
-	return &Session{db: db, id: db.nextSession.Add(1), batchExec: true, parallel: defaultParallel()}
+	return &Session{db: db, id: db.nextSession.Add(1), parallel: defaultParallel()}
 }
 
-// runPrepared executes a compiled plan in the session's execution mode
-// and returns the materialized result rows.
+// runPrepared executes a compiled plan and returns the materialized
+// result rows.
 func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sqltypes.Row, error) {
 	ctx.Parallel = s.parallel
 	defer func() {
@@ -264,13 +255,6 @@ func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sql
 			s.db.parallelWorkerNanos.Add(ctx.WorkerNanos)
 		}
 	}()
-	if s.batchExec {
-		it, err := prep.RunBatch(executorStorage{db: s.db, prof: s.prof, snap: s.snap}, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.CollectBatches(it)
-	}
 	it, err := prep.Run(executorStorage{db: s.db, prof: s.prof, snap: s.snap}, ctx)
 	if err != nil {
 		return nil, err
@@ -557,8 +541,6 @@ func (s *Session) execSet(st *sqlparser.SetStmt) (*Result, error) {
 	switch st.Name {
 	case "parallel":
 		s.SetParallel(int(st.Value))
-	case "batch_exec":
-		s.SetBatchExec(st.Value != 0)
 	default:
 		return nil, fmt.Errorf("engine: unknown SET option %q", st.Name)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -309,99 +310,60 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 	return nil
 }
 
-// heapRowIter adapts a heap iterator to the executor's RowIter,
-// filtering versions through the statement's snapshot. Rows are
-// decoded into a reused scratch slice and carved as stable copies out
-// of a chunked arena: one allocation per chunk instead of one per row,
-// matching the batch path's amortization on the row path too.
-type heapRowIter struct {
-	it      *storage.HeapIter
-	snap    *snapshot
-	recBuf  []byte
-	scratch []sqltypes.Value
-	arena   executor.RowArena
-}
-
-func (r *heapRowIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		_, rec, ok, err := r.it.NextBuf(r.recBuf[:0])
-		r.recBuf = rec
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if len(rec) < storage.VersionHeaderSize {
-			return nil, false, fmt.Errorf("engine: unversioned heap record")
-		}
-		if !r.snap.visible(storage.ReadVersionHeader(rec)) {
-			continue
-		}
-		r.scratch = r.scratch[:0]
-		if r.scratch, err = sqltypes.AppendDecodedRow(r.scratch, storage.VersionPayload(rec)); err != nil {
-			return nil, false, err
-		}
-		return r.arena.Clone(sqltypes.Row(r.scratch)), true, nil
-	}
-}
-
-func (r *heapRowIter) Close() error { return nil }
-
-// heapBatchRowIter adapts the heap's page-at-a-time batch scan to the
-// executor's RowBatchIter. Each record batch is decoded into a reused
-// value arena; the arena (and the record batch under it) is recycled on
-// the next call, which is exactly the executor's batch ownership
-// contract.
-type heapBatchRowIter struct {
-	it     *storage.HeapBatchIter
+// heapScan is the engine's table scan, serial or one morsel: it visits
+// heap pages [page, bound) through Heap.ScanPage until it has batched
+// BatchSize visible rows (the last page may overshoot) or reaches the
+// bound. Versions are filtered through the statement's snapshot and
+// decoded into a reused value arena, so a delivered batch holds no pin
+// and no latch — the executor may probe the same heap while it holds
+// one. The arena is recycled on the next call, which is the executor's
+// batch ownership contract.
+type heapScan struct {
+	heap   *storage.Heap
 	snap   *snapshot
-	rb     storage.RecBatch
-	sel    []int // reused visibility selection backing array
+	prof   *storage.WaitProf // wait attribution for flagged statements
+	page   uint32
+	bound  uint32 // exclusive page bound; the heap's end caps it
 	arena  []sqltypes.Value
 	bounds []int // bounds[i]..bounds[i+1] delimit row i in arena
 }
 
-func (r *heapBatchRowIter) NextBatch(b *executor.Batch) (bool, error) {
+func (r *heapScan) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
-	for {
-		ok, err := r.it.NextBatchMax(&r.rb, executor.BatchSize)
-		if err != nil || !ok {
+	r.arena = r.arena[:0]
+	r.bounds = append(r.bounds[:0], 0)
+	end := min(r.bound, r.heap.Pages())
+	for ; r.page < end && len(r.bounds) <= executor.BatchSize; r.page++ {
+		if err := r.heap.ScanPage(r.page, r.prof, r.visit); err != nil {
 			return false, err
 		}
-		// Visibility selection over the zero-copy record batch: Sel lists
-		// the visible record indexes; only those are decoded. A batch
-		// whose every version is invisible is skipped wholesale.
-		r.sel = r.sel[:0]
-		for i, rec := range r.rb.Recs {
-			if len(rec) < storage.VersionHeaderSize {
-				return false, fmt.Errorf("engine: unversioned heap record")
-			}
-			if r.snap.visible(storage.ReadVersionHeader(rec)) {
-				r.sel = append(r.sel, i)
-			}
-		}
-		r.rb.Sel = r.sel
-		if len(r.sel) == 0 {
-			continue
-		}
-		r.arena = r.arena[:0]
-		r.bounds = append(r.bounds[:0], 0)
-		for _, i := range r.sel {
-			if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(r.rb.Recs[i])); err != nil {
-				return false, err
-			}
-			r.bounds = append(r.bounds, len(r.arena))
-		}
-		// Carve the row slices only after every decode: AppendDecodedRow may
-		// move the arena while growing it.
-		for i := 0; i+1 < len(r.bounds); i++ {
-			lo, hi := r.bounds[i], r.bounds[i+1]
-			b.Rows = append(b.Rows, sqltypes.Row(r.arena[lo:hi:hi]))
-		}
-		return true, nil
 	}
+	// Carve the row slices only after every decode: AppendDecodedRow may
+	// move the arena while growing it.
+	for i := 0; i+1 < len(r.bounds); i++ {
+		lo, hi := r.bounds[i], r.bounds[i+1]
+		b.Rows = append(b.Rows, sqltypes.Row(r.arena[lo:hi:hi]))
+	}
+	return len(b.Rows) > 0, nil
 }
 
-// Close releases the page pins backing the last record batch.
-func (r *heapBatchRowIter) Close() error { return r.it.Close() }
+// visit decodes one record version if the snapshot sees it.
+func (r *heapScan) visit(_ storage.TID, rec []byte) error {
+	if len(rec) < storage.VersionHeaderSize {
+		return fmt.Errorf("engine: unversioned heap record")
+	}
+	if !r.snap.visible(storage.ReadVersionHeader(rec)) {
+		return nil
+	}
+	var err error
+	if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(rec)); err != nil {
+		return err
+	}
+	r.bounds = append(r.bounds, len(r.arena))
+	return nil
+}
+
+func (r *heapScan) Close() error { return nil }
 
 // btreeFetchIter is the engine's executor.IndexCursor: it walks a
 // B-Tree key range whose values are TIDs and fetches the base rows from
@@ -457,8 +419,9 @@ func (r *btreeFetchIter) Next() (sqltypes.Row, bool, error) {
 
 func (r *btreeFetchIter) Close() error { return nil }
 
-// ScanTable implements executor.Storage.
-func (s executorStorage) ScanTable(name string) (executor.RowIter, error) {
+// ScanTable implements executor.Storage: base tables scan through
+// heapScan; virtual table snapshots are already materialized.
+func (s executorStorage) ScanTable(name string) (executor.RowBatchIter, error) {
 	if vt := s.db.virtualTable(name); vt != nil {
 		return &executor.SliceRowIter{Rows: vt.provider()}, nil
 	}
@@ -466,28 +429,13 @@ func (s executorStorage) ScanTable(name string) (executor.RowIter, error) {
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapRowIter{it: h.heap.IterProf(s.prof), snap: s.snapshot()}, nil
-}
-
-// ScanTableBatch implements executor.BatchStorage: base tables scan
-// page-at-a-time through the heap batch iterator; virtual table
-// snapshots are already materialized, so the slice iterator serves
-// them in both modes.
-func (s executorStorage) ScanTableBatch(name string) (executor.RowBatchIter, error) {
-	if vt := s.db.virtualTable(name); vt != nil {
-		return &executor.SliceRowIter{Rows: vt.provider()}, nil
-	}
-	h := s.db.handle(name)
-	if h == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", name)
-	}
-	return &heapBatchRowIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snapshot()}, nil
+	return &heapScan{heap: h.heap, snap: s.snapshot(), prof: s.prof, bound: math.MaxUint32}, nil
 }
 
 // morselSource implements executor.MorselSource over one heap table:
-// page-count enumeration plus independent page-range batch scans, all
+// page-count enumeration plus independent page-range scans, all
 // filtered through the same captured statement snapshot. Each worker's
-// heapBatchRowIter holds its own pins, latch and decode arena.
+// heapScan owns its decode arena and pins one page at a time.
 type morselSource struct {
 	h    *tableHandle
 	snap *snapshot
@@ -497,7 +445,7 @@ type morselSource struct {
 func (m *morselSource) Pages() uint32 { return m.h.heap.Pages() }
 
 func (m *morselSource) ScanRange(lo, hi uint32) (executor.RowBatchIter, error) {
-	return &heapBatchRowIter{it: m.h.heap.ScanBatchRange(lo, hi, m.prof), snap: m.snap}, nil
+	return &heapScan{heap: m.h.heap, snap: m.snap, prof: m.prof, page: lo, bound: hi}, nil
 }
 
 // MorselTable implements executor.MorselStorage. Virtual tables are

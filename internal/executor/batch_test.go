@@ -14,69 +14,10 @@ func intRows(n int) []sqltypes.Row {
 	return rows
 }
 
-// countingRowIter wraps SliceRowIter and counts Next calls after
-// exhaustion — the EOF-latch regression check for RowsToBatch.
-type countingRowIter struct {
-	SliceRowIter
-	callsAfterEOF int
-	eof           bool
-}
-
-func (it *countingRowIter) Next() (sqltypes.Row, bool, error) {
-	if it.eof {
-		it.callsAfterEOF++
-	}
-	row, ok, err := it.SliceRowIter.Next()
-	if !ok {
-		it.eof = true
-	}
-	return row, ok, err
-}
-
-func TestRowsToBatchRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, BatchSize - 1, BatchSize, BatchSize + 1, 3 * BatchSize} {
-		want := intRows(n)
-		src := &countingRowIter{SliceRowIter: SliceRowIter{Rows: want}}
-		got, err := CollectBatches(RowsToBatch(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d rows", n, len(got))
-		}
-		for i := range got {
-			if got[i][0].I != want[i][0].I || got[i][1].I != want[i][1].I {
-				t.Fatalf("n=%d: row %d = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-		if src.callsAfterEOF != 0 {
-			t.Errorf("n=%d: %d Next calls after EOF (adapter must latch exhaustion)", n, src.callsAfterEOF)
-		}
-	}
-}
-
-func TestBatchToRowsRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, BatchSize, 2*BatchSize + 7} {
-		want := intRows(n)
-		got, err := Collect(BatchToRows(&SliceRowIter{Rows: want}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d rows", n, len(got))
-		}
-		for i := range got {
-			if got[i][0].I != want[i][0].I {
-				t.Fatalf("n=%d: row %d = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestRowArenaStability verifies carved rows are never clobbered by
 // later arena appends, across chunk growth boundaries.
 func TestRowArenaStability(t *testing.T) {
-	var arena RowArena
+	var arena rowArena
 	var carved []sqltypes.Row
 	for i := 0; i < 5000; i++ {
 		carved = append(carved, arena.Combine(

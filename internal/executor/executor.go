@@ -1,8 +1,8 @@
-// Package executor compiles optimizer plans into Volcano-style
-// iterators and runs them against a Storage implementation provided by
-// the engine. Compiled plans are immutable and reusable — the engine's
-// plan cache holds them across executions, which produces the cache
-// warm-up effect of the paper's Figure 5.
+// Package executor compiles optimizer plans into batch-at-a-time
+// iterators (see batch.go) and runs them against a Storage
+// implementation provided by the engine. Compiled plans are immutable
+// and reusable — the engine's plan cache holds them across executions,
+// which produces the cache warm-up effect of the paper's Figure 5.
 package executor
 
 import (
@@ -12,19 +12,15 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// RowIter produces rows one at a time. Implementations are not safe
-// for concurrent use.
-type RowIter interface {
-	Next() (sqltypes.Row, bool, error)
-	Close() error
-}
-
 // Storage is the data-access surface the executor runs against. Key
 // ranges use the order-preserving sqltypes.EncodeKey encoding; hi is
 // exclusive.
 type Storage interface {
-	// ScanTable iterates all rows of a base or virtual table.
-	ScanTable(name string) (RowIter, error)
+	// ScanTable scans all rows of a base or virtual table a batch at a
+	// time. Between NextBatch calls the scan holds no page pin and no
+	// latch, so a consumer may probe other structures — the same table
+	// included — while it holds a batch.
+	ScanTable(name string) (RowBatchIter, error)
 	// IndexProbe opens a reusable cursor over one B-tree of a table:
 	// the named secondary index, or the table's primary B-tree when
 	// index is "". Everything a probe needs is resolved here, once per
@@ -32,14 +28,15 @@ type Storage interface {
 	IndexProbe(table, index string) (IndexCursor, error)
 }
 
-// IndexCursor yields the base rows whose index entry falls in the key
-// range last given to Range; it yields nothing before the first Range.
-// Range copies lo and hi, so callers may reuse their buffers, and it
-// may be called again at any point to start a new probe. Returned rows
-// stay valid after the next probe.
+// IndexCursor yields, one at a time, the base rows whose index entry
+// falls in the key range last given to Range; it yields nothing before
+// the first Range. Range copies lo and hi, so callers may reuse their
+// buffers, and it may be called again at any point to start a new
+// probe. Returned rows stay valid after the next probe.
 type IndexCursor interface {
-	RowIter
 	Range(lo, hi []byte)
+	Next() (sqltypes.Row, bool, error)
+	Close() error
 }
 
 // Ctx carries per-execution state: bound parameters, the actual-CPU
@@ -74,7 +71,7 @@ func (p *Prepared) Columns() []optimizer.OutCol { return p.out }
 
 // Run opens the plan against storage. The returned iterator must be
 // closed.
-func (p *Prepared) Run(st Storage, ctx *Ctx) (RowIter, error) {
+func (p *Prepared) Run(st Storage, ctx *Ctx) (RowBatchIter, error) {
 	rt := &runtime{st: st, ctx: ctx}
 	return p.root.open(rt)
 }
@@ -86,7 +83,7 @@ type runtime struct {
 
 // compiled is a factory for one plan operator's iterator.
 type compiled interface {
-	open(rt *runtime) (RowIter, error)
+	open(rt *runtime) (RowBatchIter, error)
 }
 
 // Compile binds every expression in the plan and returns a reusable
@@ -144,52 +141,44 @@ func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
 	return &tracedC{inner: inner, id: id}, nil
 }
 
-// SliceRowIter iterates a materialized row slice. The engine uses it
-// for virtual tables; materializing operators (sort, agg) use it for
-// their outputs. It serves both the row and the batch interface — the
-// rows are stable, so batches may alias them.
+// SliceRowIter iterates a materialized row slice a batch at a time.
+// The engine uses it for virtual tables; materializing operators (sort,
+// agg) use it for their outputs. The rows are stable, so batches alias
+// them.
 type SliceRowIter struct {
 	Rows []sqltypes.Row
 	pos  int
 }
 
-// Next implements RowIter.
-func (it *SliceRowIter) Next() (sqltypes.Row, bool, error) {
-	if it.pos >= len(it.Rows) {
-		return nil, false, nil
-	}
-	r := it.Rows[it.pos]
-	it.pos++
-	return r, true, nil
-}
-
 // NextBatch implements RowBatchIter.
 func (it *SliceRowIter) NextBatch(b *Batch) (bool, error) {
 	b.Reset()
-	end := it.pos + BatchSize
-	if end > len(it.Rows) {
-		end = len(it.Rows)
-	}
+	end := min(it.pos+BatchSize, len(it.Rows))
 	b.Rows = append(b.Rows, it.Rows[it.pos:end]...)
 	it.pos = end
 	return len(b.Rows) > 0, nil
 }
 
-// Close implements RowIter.
+// Close implements RowBatchIter.
 func (it *SliceRowIter) Close() error { return nil }
 
-// Collect drains an iterator into a slice and closes it.
-func Collect(it RowIter) ([]sqltypes.Row, error) {
-	defer it.Close()
+// Collect drains a batch iterator into a slice of stable rows and
+// closes it.
+func Collect(bi RowBatchIter) ([]sqltypes.Row, error) {
+	defer bi.Close()
 	var out []sqltypes.Row
+	var arena rowArena
+	var b Batch
 	for {
-		row, ok, err := it.Next()
+		ok, err := bi.NextBatch(&b)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, row)
+		for _, row := range b.Rows {
+			out = append(out, arena.Clone(row))
+		}
 	}
 }

@@ -24,7 +24,7 @@ type memIndex struct {
 	cols  []int // column offsets forming the key
 }
 
-func (m *memStorage) ScanTable(name string) (RowIter, error) {
+func (m *memStorage) ScanTable(name string) (RowBatchIter, error) {
 	rows, ok := m.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("mem: no table %q", name)
@@ -35,20 +35,31 @@ func (m *memStorage) ScanTable(name string) (RowIter, error) {
 // memCursor is memStorage's IndexCursor: each Range re-filters the
 // table through the index key.
 type memCursor struct {
-	m   *memStorage
-	idx memIndex
-	SliceRowIter
+	m    *memStorage
+	idx  memIndex
+	rows []sqltypes.Row
+	pos  int
 }
 
+func (c *memCursor) Next() (sqltypes.Row, bool, error) {
+	if c.pos == len(c.rows) {
+		return nil, false, nil
+	}
+	c.pos++
+	return c.rows[c.pos-1], true, nil
+}
+
+func (c *memCursor) Close() error { return nil }
+
 func (c *memCursor) Range(lo, hi []byte) {
-	c.Rows, c.pos = nil, 0
+	c.rows, c.pos = nil, 0
 	for _, row := range c.m.tables[c.idx.table] {
 		var key []byte
 		for _, col := range c.idx.cols {
 			key = sqltypes.EncodeKey(key, row[col])
 		}
 		if bytes.Compare(key, lo) >= 0 && bytes.Compare(key, hi) < 0 {
-			c.Rows = append(c.Rows, row)
+			c.rows = append(c.rows, row)
 		}
 	}
 }
@@ -364,5 +375,169 @@ func TestStorageErrorsPropagate(t *testing.T) {
 	}
 	if _, err := prep.Run(newMemStorage(), &Ctx{}); err == nil {
 		t.Fatal("missing table did not error")
+	}
+}
+
+// drainBatches runs a plan and returns the size of every batch it
+// delivers, plus the tuple counter.
+func drainBatches(t *testing.T, st Storage, root optimizer.Node, ctx *Ctx) []int {
+	t.Helper()
+	prep, err := Compile(&optimizer.Plan{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := prep.Run(st, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var sizes []int
+	var b Batch
+	for {
+		ok, err := it.NextBatch(&b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return sizes
+		}
+		sizes = append(sizes, len(b.Rows))
+	}
+}
+
+// TestJoinBatchesStayBounded: under fan-out every join method resumes
+// in the middle of its outer batch, so no output batch exceeds
+// BatchSize, no row is lost or repeated, and each outer row and each
+// match counts one tuple.
+func TestJoinBatchesStayBounded(t *testing.T) {
+	users := func(alias string) *optimizer.SeqScan {
+		cols := usersCols()
+		for i := range cols {
+			cols[i].Table = alias
+		}
+		return &optimizer.SeqScan{Table: "users", Alias: alias, Cols: cols}
+	}
+	dept := func(alias string) []sqlparser.Expr {
+		return []sqlparser.Expr{sqlparser.ColumnRef{Table: alias, Name: "dept"}}
+	}
+	cases := []struct {
+		name   string
+		plan   optimizer.Node
+		rows   int
+		tuples int64 // beyond the scans' own counts
+	}{
+		// 100 users x 100 users.
+		{"loop", &optimizer.LoopJoin{Left: users("a"), Right: users("b")}, 10000, 100 + 10000},
+		// Each of 5 depts holds 20 users: 100 x 20 matches. The hash
+		// build counts its 100 input rows too.
+		{"hash", &optimizer.HashJoin{Left: users("a"), Right: users("b"),
+			LeftKeys: dept("a"), RightKeys: dept("b")}, 2000, 100 + 100 + 2000},
+		{"index", &optimizer.IndexJoin{Left: users("a"), Table: "users", Alias: "b",
+			Index: "ix_dept", Cols: users("b").Cols, LeftKeys: dept("a")}, 2000, 100 + 2000},
+	}
+	for _, tc := range cases {
+		ctx := &Ctx{}
+		sizes := drainBatches(t, newMemStorage(), tc.plan, ctx)
+		total := 0
+		for _, n := range sizes {
+			if n == 0 || n > BatchSize {
+				t.Errorf("%s: batch of %d rows (max %d)", tc.name, n, BatchSize)
+			}
+			total += n
+		}
+		if total != tc.rows {
+			t.Errorf("%s: %d rows, want %d", tc.name, total, tc.rows)
+		}
+		// Scans count every row they yield: the outer scan 100, a
+		// materialized inner scan 100 more (the index join has none).
+		scans := int64(200)
+		if tc.name == "index" {
+			scans = 100
+		}
+		if want := tc.tuples + scans; ctx.Tuples != want {
+			t.Errorf("%s: tuples = %d, want %d", tc.name, ctx.Tuples, want)
+		}
+	}
+}
+
+// closeCounter records Close calls on a batch iterator.
+type closeCounter struct {
+	RowBatchIter
+	closes *int
+}
+
+func (c closeCounter) Close() error {
+	*c.closes++
+	return c.RowBatchIter.Close()
+}
+
+type closeCountingStorage struct {
+	*memStorage
+	closes int
+}
+
+func (s *closeCountingStorage) ScanTable(name string) (RowBatchIter, error) {
+	it, err := s.memStorage.ScanTable(name)
+	if err != nil {
+		return nil, err
+	}
+	return closeCounter{RowBatchIter: it, closes: &s.closes}, nil
+}
+
+// TestLimitStopsPulling: once LIMIT has its rows it closes its input
+// without draining it, and the trace reports the work actually done —
+// the one batch the scan produced, without a final exhaustion call.
+func TestLimitStopsPulling(t *testing.T) {
+	st := &closeCountingStorage{memStorage: newMemStorage()}
+	big := make([]sqltypes.Row, 3*BatchSize)
+	for i := range big {
+		big[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewText("x"), sqltypes.NewInt(0)}
+	}
+	st.tables["big"] = big
+	scan := &optimizer.SeqScan{Table: "big", Alias: "u", Cols: usersCols()}
+	for _, tc := range []struct{ n, offset int64 }{{5, 0}, {5, BatchSize - 2}, {0, 0}} {
+		st.closes = 0
+		prep, err := Compile(&optimizer.Plan{Root: &optimizer.Limit{Input: scan, N: tc.n, Offset: tc.offset}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := prep.NewTrace()
+		ctx := &Ctx{Trace: tr}
+		it, err := prep.Run(st, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(rows)) != tc.n {
+			t.Fatalf("LIMIT %d OFFSET %d: %d rows", tc.n, tc.offset, len(rows))
+		}
+		for i, r := range rows {
+			if r[0].I != tc.offset+int64(i) {
+				t.Fatalf("LIMIT %d OFFSET %d: row %d = %v", tc.n, tc.offset, i, r)
+			}
+		}
+		if st.closes != 1 {
+			t.Errorf("LIMIT %d OFFSET %d: scan closed %d times, want 1", tc.n, tc.offset, st.closes)
+		}
+		// The scan produced whole batches up to the one that completed
+		// the limit, and was never asked past them.
+		batches := (tc.offset + tc.n + BatchSize - 1) / BatchSize
+		if tc.n == 0 {
+			batches = 0
+		}
+		scanned := tr.Counts[1]
+		if scanned.Rows != batches*BatchSize || scanned.Calls != scanned.Rows {
+			t.Errorf("LIMIT %d OFFSET %d: scan actuals rows=%d calls=%d, want %d rows and as many calls",
+				tc.n, tc.offset, scanned.Rows, scanned.Calls, batches*BatchSize)
+		}
+		if ctx.Tuples != scanned.Rows {
+			t.Errorf("LIMIT %d OFFSET %d: tuples = %d, want the %d rows scanned", tc.n, tc.offset, ctx.Tuples, scanned.Rows)
+		}
+		if lim := tr.Counts[0]; lim.Rows != tc.n || lim.Calls != tc.n+1 {
+			t.Errorf("LIMIT %d OFFSET %d: limit actuals rows=%d calls=%d", tc.n, tc.offset, lim.Rows, lim.Calls)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"errors"
+
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/sqltypes"
@@ -65,73 +67,45 @@ func joinKey(buf []byte, env *expr.Env, keys []expr.Compiled) ([]byte, bool, err
 	return buf, true, nil
 }
 
-// buildHashTable drains the build side into the key→rows table. In
-// batch mode build rows are copied into an arena (batch producers
-// reuse row backing); row iterators yield stable rows, stored as-is.
-func (c *hashJoinC) buildHashTable(rt *runtime, batch bool) (map[string][]sqltypes.Row, error) {
-	table := map[string][]sqltypes.Row{}
-	env := expr.Env{Params: rt.ctx.Params}
-	var keyBuf []byte
-	addRow := func(row sqltypes.Row) error {
-		env.Row = row
-		var ok bool
-		var err error
-		keyBuf, ok, err = joinKey(keyBuf, &env, c.rightKeys)
-		if err != nil {
-			return err
-		}
-		if ok {
-			table[string(keyBuf)] = append(table[string(keyBuf)], row)
-		}
-		return nil
-	}
-	if batch {
-		rit, err := openBatchOf(c.right, rt)
-		if err != nil {
-			return nil, err
-		}
-		defer rit.Close()
-		var arena RowArena
-		var b Batch
-		for {
-			ok, err := rit.NextBatch(&b)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return table, nil
-			}
-			rt.ctx.Tuples += int64(len(b.Rows))
-			for _, row := range b.Rows {
-				if err := addRow(arena.Clone(row)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
+// buildHashTable drains the build side into the key→rows table. Build
+// rows are copied into an arena, since batch producers reuse their row
+// backing.
+func (c *hashJoinC) buildHashTable(rt *runtime) (map[string][]sqltypes.Row, error) {
 	rit, err := c.right.open(rt)
 	if err != nil {
 		return nil, err
 	}
 	defer rit.Close()
+	table := map[string][]sqltypes.Row{}
+	env := expr.Env{Params: rt.ctx.Params}
+	var keyBuf []byte
+	var arena rowArena
+	var b Batch
 	for {
-		row, ok, err := rit.Next()
+		ok, err := rit.NextBatch(&b)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return table, nil
 		}
-		rt.ctx.Tuples++
-		if err := addRow(row); err != nil {
-			return nil, err
+		rt.ctx.Tuples += int64(len(b.Rows))
+		for _, row := range b.Rows {
+			env.Row = row
+			keyBuf, ok, err = joinKey(keyBuf, &env, c.rightKeys)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				table[string(keyBuf)] = append(table[string(keyBuf)], arena.Clone(row))
+			}
 		}
 	}
 }
 
-func (c *hashJoinC) open(rt *runtime) (RowIter, error) {
+func (c *hashJoinC) open(rt *runtime) (RowBatchIter, error) {
 	// Build phase on the right input.
-	table, err := c.buildHashTable(rt, false)
+	table, err := c.buildHashTable(rt)
 	if err != nil {
 		return nil, err
 	}
@@ -139,74 +113,111 @@ func (c *hashJoinC) open(rt *runtime) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&hashProbeIter{
-		left: lit, table: table, keys: c.leftKeys,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
-	})
-	return maybeFilter(out, c.residual, rt), nil
+	m := &hashMatcher{table: table, keys: c.leftKeys, env: expr.Env{Params: rt.ctx.Params}}
+	return maybeFilter(&joinIter{left: lit, m: m, ctx: rt.ctx}, c.residual, rt.ctx), nil
 }
 
-// openBatch runs both join inputs batch-at-a-time: the build side is
-// drained directly, the probe side feeds the row-at-a-time probe loop
-// through BatchToRows (probing is inherently row-at-a-time here), and
-// the output is re-batched. All tuple counts match open exactly.
-func (c *hashJoinC) openBatch(rt *runtime) (RowBatchIter, error) {
-	table, err := c.buildHashTable(rt, true)
-	if err != nil {
-		return nil, err
-	}
-	lit, err := openBatchOf(c.left, rt)
-	if err != nil {
-		return nil, err
-	}
-	out := RowIter(&hashProbeIter{
-		left: BatchToRows(lit), table: table, keys: c.leftKeys,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
-	})
-	return RowsToBatch(maybeFilter(out, c.residual, rt)), nil
+// matcher yields the inner rows that match one outer row: start
+// positions it on a new outer row (ok=false: nothing can match, e.g. a
+// NULL key), next returns the matches one at a time.
+type matcher interface {
+	start(left sqltypes.Row) (bool, error)
+	next() (sqltypes.Row, bool, error)
+	close() error
 }
 
-type hashProbeIter struct {
-	left    RowIter
+// joinIter is the probe loop shared by the three join methods: it
+// pulls the outer input a batch at a time and emits each outer row
+// combined with each of its matches. An output batch stops at
+// BatchSize rows; the next call resumes at the same outer row and
+// match, so fan-out never grows a batch past BatchSize. Every outer
+// row and every match counts as one tuple. Combined rows are carved
+// from an arena, so they stay valid after the outer batch refills.
+type joinIter struct {
+	left     RowBatchIter
+	m        matcher
+	ctx      *Ctx
+	lb       Batch        // current outer batch
+	lpos     int          // next outer row in lb
+	cur      sqltypes.Row // outer row being matched; aliases lb
+	matching bool         // m is positioned on cur
+	done     bool         // outer input exhausted
+	arena    rowArena
+}
+
+func (it *joinIter) NextBatch(b *Batch) (bool, error) {
+	b.Reset()
+	for len(b.Rows) < BatchSize {
+		if it.matching {
+			r, ok, err := it.m.next()
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				it.ctx.Tuples++
+				b.Rows = append(b.Rows, it.arena.Combine(it.cur, r))
+				continue
+			}
+			it.matching = false
+		}
+		if it.lpos == len(it.lb.Rows) {
+			if it.done {
+				break
+			}
+			ok, err := it.left.NextBatch(&it.lb)
+			if err != nil {
+				return false, err
+			}
+			it.lpos = 0
+			it.done = !ok
+			continue
+		}
+		it.cur = it.lb.Rows[it.lpos]
+		it.lpos++
+		it.ctx.Tuples++
+		var err error
+		if it.matching, err = it.m.start(it.cur); err != nil {
+			return false, err
+		}
+	}
+	return len(b.Rows) > 0, nil
+}
+
+func (it *joinIter) Close() error {
+	return errors.Join(it.m.close(), it.left.Close())
+}
+
+// hashMatcher looks the outer row's key up in the built hash table.
+type hashMatcher struct {
 	table   map[string][]sqltypes.Row
 	keys    []expr.Compiled
 	env     expr.Env
-	ctx     *Ctx
-	current sqltypes.Row
-	matches []sqltypes.Row
-	mpos    int
 	keyBuf  []byte
-	arena   RowArena
+	matches []sqltypes.Row
+	pos     int
 }
 
-func (it *hashProbeIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.mpos < len(it.matches) {
-			r := it.matches[it.mpos]
-			it.mpos++
-			it.ctx.Tuples++
-			return it.arena.Combine(it.current, r), true, nil
-		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.ctx.Tuples++
-		it.env.Row = row
-		it.keyBuf, ok, err = joinKey(it.keyBuf, &it.env, it.keys)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			continue
-		}
-		it.current = row
-		it.matches = it.table[string(it.keyBuf)]
-		it.mpos = 0
+func (m *hashMatcher) start(left sqltypes.Row) (bool, error) {
+	m.env.Row = left
+	var ok bool
+	var err error
+	m.keyBuf, ok, err = joinKey(m.keyBuf, &m.env, m.keys)
+	if err != nil || !ok {
+		return false, err
 	}
+	m.matches, m.pos = m.table[string(m.keyBuf)], 0
+	return true, nil
 }
 
-func (it *hashProbeIter) Close() error { return it.left.Close() }
+func (m *hashMatcher) next() (sqltypes.Row, bool, error) {
+	if m.pos == len(m.matches) {
+		return nil, false, nil
+	}
+	m.pos++
+	return m.matches[m.pos-1], true, nil
+}
+
+func (m *hashMatcher) close() error { return nil }
 
 type loopJoinC struct {
 	left, right compiled
@@ -229,7 +240,7 @@ func (cp *compiler) compileLoopJoin(n *optimizer.LoopJoin, depth int) (compiled,
 	return c, nil
 }
 
-func (c *loopJoinC) open(rt *runtime) (RowIter, error) {
+func (c *loopJoinC) open(rt *runtime) (RowBatchIter, error) {
 	rit, err := c.right.open(rt)
 	if err != nil {
 		return nil, err
@@ -242,38 +253,31 @@ func (c *loopJoinC) open(rt *runtime) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&loopJoinIter{left: lit, rights: rights, ctx: rt.ctx, rpos: len(rights)})
-	return maybeFilter(out, c.cond, rt), nil
+	m := &loopMatcher{rights: rights}
+	return maybeFilter(&joinIter{left: lit, m: m, ctx: rt.ctx}, c.cond, rt.ctx), nil
 }
 
-type loopJoinIter struct {
-	left    RowIter
-	rights  []sqltypes.Row
-	ctx     *Ctx
-	current sqltypes.Row
-	rpos    int
-	arena   RowArena
+// loopMatcher matches every outer row with every materialized inner
+// row; the join condition filters the combined rows.
+type loopMatcher struct {
+	rights []sqltypes.Row
+	pos    int
 }
 
-func (it *loopJoinIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.rpos < len(it.rights) {
-			r := it.rights[it.rpos]
-			it.rpos++
-			it.ctx.Tuples++
-			return it.arena.Combine(it.current, r), true, nil
-		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.ctx.Tuples++
-		it.current = row
-		it.rpos = 0
+func (m *loopMatcher) start(sqltypes.Row) (bool, error) {
+	m.pos = 0
+	return true, nil
+}
+
+func (m *loopMatcher) next() (sqltypes.Row, bool, error) {
+	if m.pos == len(m.rights) {
+		return nil, false, nil
 	}
+	m.pos++
+	return m.rights[m.pos-1], true, nil
 }
 
-func (it *loopJoinIter) Close() error { return it.left.Close() }
+func (m *loopMatcher) close() error { return nil }
 
 type indexJoinC struct {
 	left     compiled
@@ -303,68 +307,43 @@ func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compile
 	return c, nil
 }
 
-func (c *indexJoinC) open(rt *runtime) (RowIter, error) {
+func (c *indexJoinC) open(rt *runtime) (RowBatchIter, error) {
 	lit, err := c.left.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := rt.st.IndexProbe(c.table, c.index)
+	cur, err := rt.st.IndexProbe(c.table, c.index)
 	if err != nil {
 		lit.Close()
 		return nil, err
 	}
-	out := RowIter(&indexJoinIter{c: c, rt: rt, left: lit, inner: inner, env: expr.Env{Params: rt.ctx.Params}})
-	return maybeFilter(out, c.residual, rt), nil
+	m := &indexMatcher{keys: c.keys, cur: cur, env: expr.Env{Params: rt.ctx.Params}}
+	return maybeFilter(&joinIter{left: lit, m: m, ctx: rt.ctx}, c.residual, rt.ctx), nil
 }
 
-// indexJoinIter probes one reusable index cursor per outer row; the
+// indexMatcher probes one reusable index cursor per outer row; the
 // probe key range is built into lo/hi, which live as long as the
-// operator.
-type indexJoinIter struct {
-	c       *indexJoinC
-	rt      *runtime
-	left    RowIter
-	env     expr.Env
-	current sqltypes.Row
-	inner   IndexCursor
-	probing bool // inner holds the current outer row's range
-	lo, hi  []byte
-	arena   RowArena
+// operator. It probes while the outer input sits between batches,
+// which is why scans hold no pin or latch there.
+type indexMatcher struct {
+	keys   []expr.Compiled
+	cur    IndexCursor
+	env    expr.Env
+	lo, hi []byte
 }
 
-func (it *indexJoinIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.probing {
-			r, ok, err := it.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				it.rt.ctx.Tuples++
-				return it.arena.Combine(it.current, r), true, nil
-			}
-			it.probing = false
-		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.rt.ctx.Tuples++
-		it.current = row
-		it.env.Row = row
-		it.lo, it.hi, ok, err = buildRange(&it.env, it.c.keys, nil, nil, false, false, it.lo, it.hi)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			continue // NULL probe key: no matches
-		}
-		it.inner.Range(it.lo, it.hi)
-		it.probing = true
+func (m *indexMatcher) start(left sqltypes.Row) (bool, error) {
+	m.env.Row = left
+	var ok bool
+	var err error
+	m.lo, m.hi, ok, err = buildRange(&m.env, m.keys, nil, nil, false, false, m.lo, m.hi)
+	if err != nil || !ok {
+		return false, err // a NULL probe key matches nothing
 	}
+	m.cur.Range(m.lo, m.hi)
+	return true, nil
 }
 
-func (it *indexJoinIter) Close() error {
-	it.inner.Close()
-	return it.left.Close()
-}
+func (m *indexMatcher) next() (sqltypes.Row, bool, error) { return m.cur.Next() }
+
+func (m *indexMatcher) close() error { return m.cur.Close() }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // The bench trajectory: a small fixed set of engine benchmarks run
@@ -77,9 +78,10 @@ const benchTrajectoryRows = 20000
 
 // RunBenchTrajectory builds the scan fixture once and measures the
 // trajectory benchmarks: the morsel scaling curve (1, 4, 8 workers
-// over one session), the index probe layer (isolated point selects and
-// index-join probes) and point selects under a concurrent updater (the
-// MVCC fast path). Results carry the same semantics as `go test
+// over one session), the scan-aggregate at the session default, the
+// storage heap scan alone, the index probe layer (isolated point
+// selects and index-join probes) and point selects under a concurrent
+// updater (the MVCC fast path). Results carry the same semantics as `go test
 // -bench`: NsPerOp is wall time per executed statement.
 func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
 	cfg.fill()
@@ -142,27 +144,23 @@ func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
 		})
 	}
 
-	const scanAggQ = "SELECT grp, COUNT(*), SUM(f) FROM scanrows WHERE a < 300 GROUP BY grp"
 	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		record(fmt.Sprintf("ScanAggMorsel%d", workers), func(b *testing.B) {
-			bs := db.NewSession()
-			defer bs.Close()
-			bs.SetParallel(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := bs.Exec(scanAggQ)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 16 {
-					b.Fatalf("groups = %d", len(res.Rows))
-				}
-			}
-		})
+		record(fmt.Sprintf("ScanAggMorsel%d", workers), BenchScanAgg(db, workers))
 	}
-
+	record("ScanAgg", BenchScanAgg(db, 0))
+	heapFile, err := storage.OpenFile(filepath.Join(dir, "batchscan.dat"), storage.NewPool(4096))
+	if err != nil {
+		return nil, err
+	}
+	defer heapFile.Close()
+	heap := storage.OpenHeap(heapFile, 1, 0)
+	rec := make([]byte, 64)
+	for i := 0; i < benchTrajectoryRows; i++ {
+		if _, err := heap.Insert(rec); err != nil {
+			return nil, err
+		}
+	}
+	record("BatchScan", BenchBatchScan(heap, benchTrajectoryRows))
 	record("PointSelect", BenchPointSelect(db))
 	record("IndexJoinProbe", BenchIndexJoinProbe(db))
 
@@ -206,6 +204,55 @@ func RunBenchTrajectory(cfg Config) (*BenchReport, error) {
 		return nil, benchErr
 	}
 	return report, nil
+}
+
+// BenchScanAgg measures a scan+filter+aggregate statement over the
+// scanrows fixture on one session: parallel workers, or the session
+// default when parallel is 0. db must hold scanrows with
+// benchTrajectoryRows rows.
+func BenchScanAgg(db *engine.DB, parallel int) func(b *testing.B) {
+	const q = "SELECT grp, COUNT(*), SUM(f) FROM scanrows WHERE a < 300 GROUP BY grp"
+	return func(b *testing.B) {
+		s := db.NewSession()
+		defer s.Close()
+		if parallel > 0 {
+			s.SetParallel(parallel)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := s.Exec(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != 16 {
+				b.Fatalf("groups = %d", len(res.Rows))
+			}
+		}
+	}
+}
+
+// BenchBatchScan measures the storage-layer heap scan in isolation:
+// one Heap.ScanPage visit per page, each pinning and releasing one
+// frame, over a heap holding rows records. One op is one full scan.
+func BenchBatchScan(h *storage.Heap, rows int) func(b *testing.B) {
+	return func(b *testing.B) {
+		n := 0
+		visit := func(storage.TID, []byte) error { n++; return nil }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n = 0
+			for pg := uint32(0); pg < h.Pages(); pg++ {
+				if err := h.ScanPage(pg, nil, visit); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if n != rows {
+				b.Fatalf("scanned %d rows, want %d", n, rows)
+			}
+		}
+	}
 }
 
 // probeRows is the outer side of BenchIndexJoinProbe: every row of the

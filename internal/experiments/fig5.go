@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,14 +29,62 @@ type Fig5Result struct {
 	Simple  []Fig5Sample
 }
 
+// fig5Runs is the odd number of independent runs RunFig5 takes the
+// median of. A probe times one statement of a few microseconds, so one
+// burst of host load or garbage collection can decide a single run.
+const fig5Runs = 5
+
 // RunFig5 measures the share of monitoring per statement. The first
 // statement pays cold caches (catalog, buffer pool, plan compile);
 // once everything is warm the fixed monitoring cost dominates very
 // simple statements — the paper saw the share grow from a fraction of
-// a percent to 90–98%.
+// a percent to 90–98%. Every run loads a fresh instance, so each one
+// starts cold; each field of a reported sample is the median of that
+// field over fig5Runs runs.
 func RunFig5(cfg Config) (*Fig5Result, error) {
 	cfg.fill()
-	inst, err := newInstance(cfg, filepath.Join(cfg.Dir, "fig5"), "Monitoring", true, false)
+	runs := make([]*Fig5Result, fig5Runs)
+	for r := range runs {
+		run, err := runFig5Once(cfg, filepath.Join(cfg.Dir, fmt.Sprintf("fig5_%d", r)))
+		if err != nil {
+			return nil, err
+		}
+		runs[r] = run
+	}
+	median := func(samples func(*Fig5Result) []Fig5Sample, i int) Fig5Sample {
+		var total, mon, share []float64
+		for _, run := range runs {
+			s := samples(run)[i]
+			total = append(total, s.TotalUs)
+			mon = append(mon, s.MonUs)
+			share = append(share, s.Share)
+		}
+		return Fig5Sample{
+			Position: samples(runs[0])[i].Position,
+			TotalUs:  medianOf(total),
+			MonUs:    medianOf(mon),
+			Share:    medianOf(share),
+		}
+	}
+	res := &Fig5Result{}
+	for i := range runs[0].Complex {
+		res.Complex = append(res.Complex, median(func(r *Fig5Result) []Fig5Sample { return r.Complex }, i))
+	}
+	for i := range runs[0].Simple {
+		res.Simple = append(res.Simple, median(func(r *Fig5Result) []Fig5Sample { return r.Simple }, i))
+	}
+	return res, nil
+}
+
+// medianOf returns the middle of an odd number of values.
+func medianOf(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+// runFig5Once probes one fresh instance loaded under dir.
+func runFig5Once(cfg Config, dir string) (*Fig5Result, error) {
+	inst, err := newInstance(cfg, dir, "Monitoring", true, false)
 	if err != nil {
 		return nil, err
 	}

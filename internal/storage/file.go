@@ -219,8 +219,8 @@ func (f *File) GetPageProf(page uint32, prof *WaitProf) (*Page, error) {
 
 // PinPage pins the given page into a caller-owned handle, avoiding the
 // per-call allocation of GetPage. p must be released (or never pinned)
-// before being reused. Batch scans pin one page per batch step through
-// a single reused handle.
+// before being reused. Heap scans pin one page at a time through a
+// single reused handle.
 func (f *File) PinPage(page uint32, p *Page) error {
 	return f.PinPageProf(page, p, f.curProf.Load())
 }

@@ -74,10 +74,10 @@ const MaxRecordSize = PageDataSize - heapHeaderSize - slotSize - 64
 // are "main" pages; growth beyond that is counted as overflow pages,
 // which is exactly the signal the analyzer's restructuring rule uses.
 // Heap access is latched with a per-heap RWMutex: readers (Get, Iter,
-// Scan, batch fills) hold the read side per operation — the batch
-// iterator for the life of a batch, since its records alias pinned
-// frames — and mutators (Insert, Delete, SetXmax, vacuum's FreeSlot)
-// hold the write side. Under MVCC, readers run concurrently with one
+// Scan, ScanPage) hold the read side for one operation — ScanPage for
+// one page visit, since its records alias the pinned frame — and
+// mutators (Insert, Delete, SetXmax, vacuum's FreeSlot) hold the write
+// side. Under MVCC, readers run concurrently with one
 // writer per table (the engine's statement write gate serializes
 // writers), so the latch is what keeps page bytes race-free.
 type Heap struct {
@@ -438,171 +438,35 @@ func (h *Heap) Truncate() error {
 // counter the catalog persists.
 func (h *Heap) ResetRows(n int64) { h.rows.Store(n) }
 
-// RecBatch is a reusable batch of raw heap records. Recs slices alias
-// the page frames the filling iterator keeps pinned for the life of
-// the batch (zero-copy): they are valid only until the next NextBatch
-// or Close call on the iterator that filled them. Callers that retain
-// a record beyond that must copy it.
-type RecBatch struct {
-	TIDs []TID
-	Recs [][]byte
-	// Sel is the batch's visibility selection vector: when non-nil,
-	// only the record indexes it lists are visible to the filling
-	// statement's snapshot and the rest must be skipped. The engine
-	// fills it after each NextBatch without copying any record, so the
-	// batch path stays zero-copy under MVCC. nil means every record is
-	// selected.
-	Sel []int
-}
-
-// Len returns the number of records in the batch.
-func (b *RecBatch) Len() int { return len(b.Recs) }
-
-// reset clears the batch for refilling, keeping all capacity.
-func (b *RecBatch) reset() {
-	b.TIDs = b.TIDs[:0]
-	b.Recs = b.Recs[:0]
-	b.Sel = nil
-}
-
-// appendRec records one record slice (aliasing a pinned frame).
-func (b *RecBatch) appendRec(tid TID, rec []byte) {
-	b.TIDs = append(b.TIDs, tid)
-	b.Recs = append(b.Recs, rec)
-}
-
-// maxBatchPins bounds the pages one batch may keep pinned, so a batch
-// over sparse pages cannot monopolize a small buffer pool. When the
-// cap is hit the batch simply comes up short of maxRows; the next call
-// continues from the following page.
-const maxBatchPins = 16
-
-// HeapBatchIter scans a heap page-at-a-time: each page is pinned once
-// and all its live slots are handed to the caller's RecBatch as slices
-// aliasing the pinned frame — no per-record copy or allocation, unlike
-// HeapIter.Next which does one GetPage call and one record allocation
-// per row. The pins are held until the next NextBatch or Close call,
-// which is what keeps the aliased records valid for the life of the
-// batch. Not safe for concurrent use.
-type HeapBatchIter struct {
-	h       *Heap
-	page    uint32
-	bound   uint32             // exclusive page bound for morsel scans; 0 = whole heap
-	pins    [maxBatchPins]Page // frames backing the current batch
-	npins   int
-	err     error
-	latched bool      // read latch held for the life of the current batch
-	prof    *WaitProf // wait attribution for flagged statements; usually nil
-}
-
-// ScanBatch returns a batch iterator positioned before the first page.
-func (h *Heap) ScanBatch() *HeapBatchIter { return &HeapBatchIter{h: h} }
-
-// ScanBatchProf is ScanBatch with a wait profiler attached to every
-// page pin of the scan.
-func (h *Heap) ScanBatchProf(prof *WaitProf) *HeapBatchIter {
-	return &HeapBatchIter{h: h, prof: prof}
-}
-
-// ScanBatchRange returns a batch iterator over the page range [lo, hi)
-// — one morsel of a parallel scan. Disjoint ranges touch disjoint pages
-// and slot directories, so concurrent iterators (each confined to its
-// own worker goroutine) never share mutable state; they contend only on
-// the heap's read latch, which admits any number of readers. Pages past
-// the heap's current end are simply absent, so a stale hi is safe.
-func (h *Heap) ScanBatchRange(lo, hi uint32, prof *WaitProf) *HeapBatchIter {
-	return &HeapBatchIter{h: h, page: lo, bound: hi, prof: prof}
-}
-
-// release unpins every frame backing the current batch and drops the
-// heap read latch the batch held (writers were excluded while the
-// caller consumed records aliasing the pinned frames).
-func (it *HeapBatchIter) release() {
-	for i := 0; i < it.npins; i++ {
-		it.pins[i].Release()
+// ScanPage visits the live records of one heap page in slot order. It
+// takes the heap's read latch, pins the page (attributing any wait to
+// prof), calls fn for each live record, then releases the pin and the
+// latch before returning, so a caller holds neither between pages. rec
+// aliases the pinned frame and is valid only during the fn call;
+// callers that keep a record must copy it. A page past the heap's end
+// has no records. An error from fn stops the visit and is returned.
+func (h *Heap) ScanPage(page uint32, prof *WaitProf, fn func(tid TID, rec []byte) error) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if page >= h.file.Pages() {
+		return nil
 	}
-	it.npins = 0
-	if it.latched {
-		it.latched = false
-		it.h.mu.RUnlock()
+	var p Page
+	if err := h.file.PinPageProf(page, &p, prof); err != nil {
+		return err
 	}
-}
-
-// Close releases the frames pinned for the last batch. Callers that
-// abandon the iterator before exhaustion must call it; an exhausted
-// iterator holds no pins, so Close is then a no-op.
-func (it *HeapBatchIter) Close() error {
-	it.release()
+	defer p.Release()
+	n := pageSlotCount(p.Data)
+	for s := 0; s < n; s++ {
+		off, length := slotEntry(p.Data, s)
+		if off == deadSlot {
+			continue
+		}
+		if err := fn(NewTID(page, uint16(s)), p.Data[off:off+length]); err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-// NextBatch fills b with live records, whole pages at a time, until at
-// least maxRows records are batched, maxBatchPins pages are pinned, or
-// the heap is exhausted (the last page added may overshoot maxRows; a
-// page is never split across batches). maxRows <= 0 means one
-// non-empty page per batch. Returns false when no records remain. The
-// records in b alias pages the iterator keeps pinned and are
-// invalidated by the next NextBatch or Close call on it.
-func (it *HeapBatchIter) NextBatch(b *RecBatch) (bool, error) {
-	if it.err != nil {
-		return false, it.err
-	}
-	return it.nextBatch(b, 0)
-}
-
-// NextBatchMax is NextBatch with an explicit row target.
-func (it *HeapBatchIter) NextBatchMax(b *RecBatch, maxRows int) (bool, error) {
-	if it.err != nil {
-		return false, it.err
-	}
-	return it.nextBatch(b, maxRows)
-}
-
-func (it *HeapBatchIter) nextBatch(b *RecBatch, maxRows int) (bool, error) {
-	it.release() // invalidates the previous batch's records
-	b.reset()
-	it.h.mu.RLock()
-	it.latched = true
-	pages := it.h.file.Pages()
-	if it.bound > 0 && it.bound < pages {
-		pages = it.bound
-	}
-	for it.page < pages && it.npins < maxBatchPins {
-		p := &it.pins[it.npins]
-		if err := it.h.file.PinPageProf(it.page, p, it.prof); err != nil {
-			it.err = err
-			it.release()
-			return false, err
-		}
-		d := p.Data
-		n := pageSlotCount(d)
-		before := len(b.Recs)
-		for s := 0; s < n; s++ {
-			off, length := slotEntry(d, s)
-			if off == deadSlot {
-				continue
-			}
-			b.appendRec(NewTID(it.page, uint16(s)), d[off:off+length])
-		}
-		if len(b.Recs) == before {
-			p.Release() // no live records: nothing aliases this frame
-		} else {
-			it.npins++
-		}
-		it.page++
-		if maxRows > 0 {
-			if len(b.Recs) >= maxRows {
-				break
-			}
-		} else if len(b.Recs) > 0 {
-			break
-		}
-	}
-	if len(b.Recs) == 0 {
-		it.release() // exhausted: hold neither pins nor the latch
-		return false, nil
-	}
-	return true, nil
 }
 
 // HeapIter is a pull-style iterator over live heap records.
@@ -611,37 +475,16 @@ type HeapIter struct {
 	page uint32
 	slot int
 	err  error
-	prof *WaitProf // wait attribution for flagged statements; usually nil
-	pg   Page      // reused pin handle; always released before Next returns
+	pg   Page // reused pin handle; always released before Next returns
 }
 
 // Iter returns an iterator positioned before the first record.
 func (h *Heap) Iter() *HeapIter { return &HeapIter{h: h} }
 
-// IterProf is Iter with a wait profiler attached to every page get of
-// the scan.
-func (h *Heap) IterProf(prof *WaitProf) *HeapIter { return &HeapIter{h: h, prof: prof} }
-
 // Next returns the next live record (copied out of the page) or
 // ok=false at the end. The record is freshly allocated and the caller
-// may retain it; hot per-row loops use NextBuf instead.
+// may retain it.
 func (it *HeapIter) Next() (TID, []byte, bool, error) {
-	return it.next(nil)
-}
-
-// NextBuf is Next with a caller-supplied record buffer: the returned
-// record is buf with the record bytes appended, so a loop that passes
-// the same buffer sliced to [:0] each call scans without per-row
-// allocation. The returned record is only valid until the caller
-// reuses the buffer.
-func (it *HeapIter) NextBuf(buf []byte) (TID, []byte, bool, error) {
-	if buf == nil {
-		buf = []byte{}
-	}
-	return it.next(buf)
-}
-
-func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 	if it.err != nil {
 		return 0, nil, false, it.err
 	}
@@ -649,7 +492,7 @@ func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 	defer it.h.mu.RUnlock()
 	pages := it.h.file.Pages()
 	for it.page < pages {
-		if err := it.h.file.PinPageProf(it.page, &it.pg, it.prof); err != nil {
+		if err := it.h.file.PinPage(it.page, &it.pg); err != nil {
 			it.err = err
 			return 0, nil, false, err
 		}
@@ -661,11 +504,7 @@ func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 			if off == deadSlot {
 				continue
 			}
-			rec := buf
-			if rec == nil {
-				rec = make([]byte, 0, length)
-			}
-			rec = append(rec, it.pg.Data[off:off+length]...)
+			rec := append([]byte(nil), it.pg.Data[off:off+length]...)
 			it.pg.Release()
 			return NewTID(it.page, uint16(s)), rec, true, nil
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -268,11 +269,13 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// TestScanBatchMatchesScan asserts the batch scan sees exactly the
+// TestScanBatchMatchesScan asserts the page visitor sees exactly the
 // records (and TIDs, in the same physical order) that the row scan
-// sees, across multiple pages and with deleted slots interleaved.
+// sees, across multiple pages and with deleted slots interleaved, and
+// that it holds no pin once a visit returns.
 func TestScanBatchMatchesScan(t *testing.T) {
-	h := OpenHeap(newTestFile(t, nil), 1, 0)
+	pool := NewPool(64)
+	h := OpenHeap(newTestFile(t, pool), 1, 0)
 	var tids []TID
 	for i := 0; i < 700; i++ {
 		rec := []byte(fmt.Sprintf("rec-%04d-%s", i, bytes.Repeat([]byte("y"), i%40)))
@@ -298,57 +301,60 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if h.Pages() < 3 {
+		t.Fatalf("fixture spans %d pages, want several", h.Pages())
+	}
 
-	for _, maxRows := range []int{0, 1, 64, 100000} {
-		it := h.ScanBatch()
-		var b RecBatch
-		var gotTIDs []TID
-		var gotRecs [][]byte
-		batches := 0
-		for {
-			ok, err := it.NextBatchMax(&b, maxRows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			batches++
-			if b.Len() == 0 {
-				t.Fatal("ok batch with zero records")
-			}
-			for i := range b.Recs {
-				gotTIDs = append(gotTIDs, b.TIDs[i])
-				gotRecs = append(gotRecs, append([]byte(nil), b.Recs[i]...))
-			}
+	var gotTIDs []TID
+	var gotRecs [][]byte
+	// One page past the end: an absent page has no records.
+	for pg := uint32(0); pg <= h.Pages(); pg++ {
+		if err := h.ScanPage(pg, nil, func(tid TID, rec []byte) error {
+			gotTIDs = append(gotTIDs, tid)
+			gotRecs = append(gotRecs, append([]byte(nil), rec...))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if len(gotTIDs) != len(wantTIDs) {
-			t.Fatalf("maxRows=%d: %d records, want %d", maxRows, len(gotTIDs), len(wantTIDs))
+		if n := pool.PinnedFrames(); n != 0 {
+			t.Fatalf("page %d: %d frames still pinned after the visit", pg, n)
 		}
-		for i := range wantTIDs {
-			if gotTIDs[i] != wantTIDs[i] || !bytes.Equal(gotRecs[i], wantRecs[i]) {
-				t.Fatalf("maxRows=%d: record %d mismatch: tid %v vs %v", maxRows, i, gotTIDs[i], wantTIDs[i])
-			}
+	}
+	if len(gotTIDs) != len(wantTIDs) {
+		t.Fatalf("%d records, want %d", len(gotTIDs), len(wantTIDs))
+	}
+	for i := range wantTIDs {
+		if gotTIDs[i] != wantTIDs[i] || !bytes.Equal(gotRecs[i], wantRecs[i]) {
+			t.Fatalf("record %d mismatch: tid %v vs %v", i, gotTIDs[i], wantTIDs[i])
 		}
-		if maxRows == 100000 && batches != 1 {
-			t.Fatalf("maxRows=100000: %d batches, want 1", batches)
-		}
+	}
+
+	// An error from the visitor stops the visit and is returned, pin
+	// released.
+	stop := errors.New("stop")
+	visited := 0
+	err := h.ScanPage(0, nil, func(TID, []byte) error { visited++; return stop })
+	if err != stop || visited != 1 {
+		t.Fatalf("visitor error: err=%v visited=%d", err, visited)
+	}
+	if n := pool.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames still pinned after a failed visit", n)
 	}
 }
 
 func TestScanBatchEmptyHeap(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
-	var b RecBatch
-	if ok, err := h.ScanBatch().NextBatch(&b); err != nil || ok {
-		t.Fatalf("empty heap: ok=%v err=%v", ok, err)
+	if err := h.ScanPage(0, nil, func(TID, []byte) error {
+		t.Fatal("visited a record of an empty heap")
+		return nil
+	}); err != nil {
+		t.Fatalf("empty heap: %v", err)
 	}
 }
 
-// TestScanBatchAllocs asserts the batch-scan inner loop is allocation
-// free in the steady state: once the reused RecBatch has grown to its
-// working size, a full scan performs 0 allocations per row (amortized
-// well under 1 per batch). This is the invariant the CI bench-smoke
-// step pins.
+// TestScanBatchAllocs asserts the page visitor is allocation free: a
+// full scan of every page performs 0 allocations per row (and none per
+// page). This is the invariant the CI alloc step pins.
 func TestScanBatchAllocs(t *testing.T) {
 	h := OpenHeap(newTestFile(t, NewPool(256)), 1, 0)
 	rec := make([]byte, 64)
@@ -357,22 +363,20 @@ func TestScanBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var b RecBatch
+	rows := 0
+	visit := func(TID, []byte) error { rows++; return nil }
 	scan := func() {
-		it := h.ScanBatch()
-		for {
-			ok, err := it.NextBatchMax(&b, 1024)
-			if err != nil {
+		for pg := uint32(0); pg < h.Pages(); pg++ {
+			if err := h.ScanPage(pg, nil, visit); err != nil {
 				t.Fatal(err)
-			}
-			if !ok {
-				return
 			}
 		}
 	}
-	scan() // warm up: grow the batch buffers to working size
-	// One allocation per scan remains (the HeapBatchIter itself).
-	if allocs := testing.AllocsPerRun(10, scan); allocs > 2 {
-		t.Fatalf("batch scan allocates %.1f times per full scan, want <= 2", allocs)
+	scan()
+	if rows != 4096 {
+		t.Fatalf("scan visited %d records, want 4096", rows)
+	}
+	if allocs := testing.AllocsPerRun(10, scan); allocs > 0 {
+		t.Fatalf("page visitor allocates %.1f times per full scan, want 0", allocs)
 	}
 }

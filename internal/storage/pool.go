@@ -114,8 +114,8 @@ type poolShard struct {
 }
 
 // Sharding parameters: enough shards that concurrent sessions rarely
-// collide, but never so many that one shard cannot absorb a batch
-// scan's maxBatchPins pinned pages with room to spare.
+// collide, but never so many that a shard holds only a handful of
+// frames.
 const (
 	maxPoolShards      = 16
 	minFramesPerShard  = 32
